@@ -1,4 +1,4 @@
-"""Uniform trace event format.
+"""Uniform trace event format and its codec.
 
 Every nondeterministic interaction is recorded as one fixed-size event:
 a 1-octet type tag followed by an 8-octet data word whose interpretation
@@ -10,16 +10,15 @@ little-endian. Tag 0 is reserved as padding/invalid and never written.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
+from itertools import repeat
 
 from .errors import TraceFormatError
 
 EVENT_SIZE = 9
 
 _EVENT_STRUCT = struct.Struct("<BQ")
-
-_U64_MASK = (1 << 64) - 1
 
 
 class EventType(IntEnum):
@@ -46,43 +45,47 @@ class EventType(IntEnum):
 _VALID_TAGS = frozenset(int(t) for t in EventType)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(namedtuple("TraceEvent", "event_type data")):
     """One recorded event: type tag plus a 64-bit data word."""
 
-    event_type: int
-    data: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.event_type not in _VALID_TAGS:
-            raise TraceFormatError(f"unregistered event tag {self.event_type}")
-        if not 0 <= self.data <= _U64_MASK:
-            raise TraceFormatError(f"event data {self.data} outside u64 range")
+    def __new__(cls, event_type: int, data: int):
+        if event_type not in _VALID_TAGS:
+            raise TraceFormatError(f"unregistered event tag {event_type}")
+        if not 0 <= data < 1 << 64:
+            raise TraceFormatError(f"event data {data} outside u64 range")
+        return tuple.__new__(cls, (event_type, data))
 
     @property
     def type_name(self) -> str:
         return EventType(self.event_type).name
 
 
+# Encode without building a TraceEvent; used on the hot recording path.
+pack_event = _EVENT_STRUCT.pack
+
+
 def encode_event(event: TraceEvent) -> bytes:
     """Serialize an event to its 9-octet wire form."""
-    return _EVENT_STRUCT.pack(event.event_type, event.data)
+    return pack_event(*event)
 
 
 def decode_event(raw: bytes) -> TraceEvent:
-    """Parse exactly 9 octets back into a TraceEvent.
-
-    Rejects tag 0 and unregistered tags; encode/decode round-trip is the
-    identity for every valid event.
-    """
+    """Parse exactly 9 octets into a TraceEvent; the reference for
+    ``decode_payload``. Rejects tag 0 and unregistered tags."""
     if len(raw) != EVENT_SIZE:
         raise TraceFormatError(f"event must be {EVENT_SIZE} octets, got {len(raw)}")
-    tag, data = _EVENT_STRUCT.unpack(raw)
-    if tag not in _VALID_TAGS:
-        raise TraceFormatError(f"unregistered event tag {tag}")
-    return TraceEvent(tag, data)
+    return TraceEvent(*_EVENT_STRUCT.unpack(raw))
 
 
-def pack_event(event_type: int, data: int) -> bytes:
-    """Encode without building a TraceEvent; used on the hot recording path."""
-    return _EVENT_STRUCT.pack(event_type, data)
+def decode_payload(payload: bytes) -> list[TraceEvent]:
+    """Parse a chunk payload (a multiple of 9 octets) into its events.
+
+    An unregistered tag raises an error naming the first bad event's index."""
+    tags = payload[::EVENT_SIZE]
+    if not _VALID_TAGS.issuperset(tags):
+        index = next(i for i, tag in enumerate(tags) if tag not in _VALID_TAGS)
+        raise TraceFormatError(f"unregistered event tag {tags[index]} at event {index}")
+    # tuple.__new__ builds each event in C, without the constructor's checks.
+    return list(map(tuple.__new__, repeat(TraceEvent), _EVENT_STRUCT.iter_unpack(payload)))

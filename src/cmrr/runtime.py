@@ -274,10 +274,12 @@ class Execution:
             self.abort(exc)
         self.actor_pool.shutdown()
 
-        for act in self.activities.values():
-            act.finish_tracing()
-        if self.sink is not None:
-            self.sink.close()
+        try:
+            for act in self.activities.values():
+                act.finish_tracing()
+        finally:
+            if self.sink is not None:
+                self.sink.close()
 
         if self._abort_exc is not None:
             raise self._abort_exc

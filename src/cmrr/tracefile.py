@@ -14,7 +14,6 @@ framing; it never interprets model semantics.
 from __future__ import annotations
 
 import io
-import queue
 import struct
 import threading
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from enum import Enum
 from typing import BinaryIO, Iterable
 
 from .errors import TraceFormatError
-from .events import EVENT_SIZE, decode_event
+from .events import EVENT_SIZE, decode_payload
 from .tracing import ReplayQueue
 
 MAGIC = b"CMRR"
@@ -99,8 +98,7 @@ def parse_trace(path: str) -> TraceFile:
     an unsupported version, or a truncated chunk raise TraceFormatError.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_trace_bytes(data, path=path)
+        return parse_trace_bytes(fh.read(), path=path)
 
 
 def parse_trace_bytes(data: bytes, path: str = "") -> TraceFile:
@@ -120,31 +118,25 @@ def parse_trace_bytes(data: bytes, path: str = "") -> TraceFile:
         if offset + CHUNK_HEADER_SIZE > len(data):
             raise TraceFormatError("truncated chunk header")
         activity_id, payload_len = _CHUNK_STRUCT.unpack_from(data, offset)
-        offset += CHUNK_HEADER_SIZE
+        start = offset + CHUNK_HEADER_SIZE
         if payload_len % EVENT_SIZE:
             raise TraceFormatError(
                 f"chunk payload length {payload_len} is not a multiple of {EVENT_SIZE}"
             )
-        if offset + payload_len > len(data):
+        if start + payload_len > len(data):
             raise TraceFormatError("truncated chunk payload")
-        bucket = events_per_activity.setdefault(activity_id, [])
-        for pos in range(offset, offset + payload_len, EVENT_SIZE):
-            bucket.append(decode_event(data[pos:pos + EVENT_SIZE]))
-        offset += payload_len
+        try:
+            events = decode_payload(data[start:start + payload_len])
+        except TraceFormatError as exc:
+            where = f"activity {activity_id}, chunk at offset {offset}"
+            raise TraceFormatError(f"{where}: {exc}") from None
+        events_per_activity.setdefault(activity_id, []).extend(events)
+        offset = start + payload_len
         chunk_count += 1
 
-    queues = {
-        activity_id: ReplayQueue(activity_id, events)
-        for activity_id, events in events_per_activity.items()
-    }
-    return TraceFile(
-        format_version=version,
-        strategy_flags=flags,
-        queues=queues,
-        chunk_count=chunk_count,
-        file_size=len(data),
-        path=path,
-    )
+    queues = {aid: ReplayQueue(aid, events) for aid, events in events_per_activity.items()}
+    return TraceFile(format_version=version, strategy_flags=flags, queues=queues,
+                     chunk_count=chunk_count, file_size=len(data), path=path)
 
 
 class TraceSink:
@@ -172,39 +164,37 @@ class DiscardSink(TraceSink):
 
 
 class FileSink(TraceSink):
-    """Writes chunks to a trace file from a dedicated background writer thread.
+    """Appends chunks to a trace file synchronously, in the flushing activity.
 
     The header goes out immediately so a crash mid-run still leaves a
     parseable prefix. Chunk order in the file is hand-off order, which is
-    irrelevant to parsing (queues are per-activity).
+    irrelevant to parsing (queues are per-activity). The first write error
+    stops further writes and is raised by ``close``, at the end of the run:
+    raised in the flushing activity, an actor handler would swallow it.
     """
 
     def __init__(self, path: str, strategy_flags: int):
         self.path = path
         self._fh = open(path, "wb")
         write_header(self._fh, strategy_flags)
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._writer = threading.Thread(target=self._drain, name="trace-writer", daemon=True)
-        self._writer.start()
+        self._lock = threading.Lock()
+        self._error: OSError | None = None
         self.chunks_written = 0
 
     def submit(self, activity_id: int, payload: bytes) -> None:
-        self._queue.put((activity_id, payload))
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                break
-            activity_id, payload = item
-            write_chunk(self._fh, activity_id, payload)
-            self.chunks_written += 1
-        self._fh.flush()
-        self._fh.close()
+        with self._lock:
+            if self._error is None:
+                try:
+                    write_chunk(self._fh, activity_id, payload)
+                    self.chunks_written += 1
+                except OSError as exc:
+                    self._error = exc
 
     def close(self) -> None:
-        self._queue.put(None)
-        self._writer.join()
+        with self._lock:
+            self._fh.close()
+        if self._error is not None:
+            raise self._error
 
 
 class MemorySink(TraceSink):

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from cmrr import EventType
 from cmrr.cli import EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_OK, main
+from cmrr.tracefile import write_chunk, write_header
 
 
 def _run(capsys, *argv):
@@ -92,6 +94,19 @@ def test_exit_code_for_garbage_trace(tmp_path, capsys):
         code, _, err = _run(capsys, *command)
         assert code == EXIT_FORMAT
         assert "trace format error" in err
+
+
+def test_located_error_for_unregistered_tag(tmp_path, capsys):
+    bad = str(tmp_path / "tag.trc")
+    with open(bad, "wb") as fh:
+        write_header(fh, 0)
+        write_chunk(fh, 3, bytes([EventType.LOCK]) + bytes(8) + bytes([0xEE]) + bytes(8))
+    for command in ("dump", "stats"):
+        code, out, err = _run(capsys, command, bad)
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert "trace format error: activity 3, chunk at offset 8: " \
+               "unregistered event tag 238 at event 1" in err
 
 
 def test_exit_code_for_strategy_mismatch(tmp_path, capsys):

@@ -1,0 +1,98 @@
+"""Property tests of the trace codec.
+
+The bulk chunk decoder must agree with the single-event reference decoder
+on every input, and no damaged trace may raise anything but a
+TraceFormatError.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cmrr import EVENT_SIZE, EventType, Execution, MemorySink, TraceEvent, bench
+from cmrr.errors import TraceFormatError
+from cmrr.events import decode_event, decode_payload, encode_event, pack_event
+from cmrr.tracefile import parse_trace_bytes
+
+_REGISTERED = sorted(int(t) for t in EventType)
+_U64 = st.integers(0, 2**64 - 1)
+
+events = st.lists(st.builds(TraceEvent, st.sampled_from(_REGISTERED), _U64), max_size=40)
+# Chunks in file order; each activity's events are its chunks concatenated.
+chunkings = st.lists(st.tuples(st.integers(0, 3), events), max_size=8)
+
+
+def _file(chunks):
+    sink = MemorySink()
+    for activity_id, payload in chunks:
+        sink.submit(activity_id, payload)
+    return sink.as_bytes()
+
+
+def _reference_decode(payload):
+    return [decode_event(payload[i:i + EVENT_SIZE])
+            for i in range(0, len(payload), EVENT_SIZE)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunkings)
+def test_bulk_parse_matches_per_event_reference(chunks):
+    encoded = [(aid, b"".join(encode_event(e) for e in evs)) for aid, evs in chunks]
+    expected: dict[int, list] = {}
+    payloads: dict[int, bytes] = {}
+    for aid, payload in encoded:
+        expected.setdefault(aid, []).extend(_reference_decode(payload))
+        payloads[aid] = payloads.get(aid, b"") + payload
+
+    trace = parse_trace_bytes(_file(encoded))
+
+    assert trace.chunk_count == len(chunks)
+    assert set(trace.queues) == set(expected)
+    for aid, queue in trace.queues.items():
+        parsed = queue.events
+        assert list(parsed) == expected[aid]
+        assert all(type(e) is TraceEvent for e in parsed)
+        assert b"".join(encode_event(e) for e in parsed) == payloads[aid]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), _U64), max_size=30))
+def test_payload_tag_check_matches_reference(pairs):
+    # tags 0 and 13-15 are unregistered
+    payload = b"".join(pack_event(tag, data) for tag, data in pairs)
+    bad = [i for i, (tag, _) in enumerate(pairs) if tag not in _REGISTERED]
+    if not bad:
+        assert decode_payload(payload) == _reference_decode(payload)
+        return
+    with pytest.raises(TraceFormatError, match=f"at event {bad[0]}$"):
+        decode_payload(payload)
+    with pytest.raises(TraceFormatError):
+        _reference_decode(payload)
+
+
+@functools.cache
+def _small_recorded_trace() -> bytes:
+    # all four models, flushed every five events so the trace has many chunks
+    spec = bench.REGISTRY["sales-pipeline"]
+    sink = MemorySink()
+    params = dict(spec.defaults, records=12, projects=3)
+    Execution("record", sink=sink, flush_threshold=45).run(spec.func, params)
+    return sink.as_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_trace_parses_or_raises_trace_format_error(data):
+    raw = bytearray(_small_recorded_trace())
+    raw = raw[:data.draw(st.integers(0, len(raw)), label="kept octets")]
+    flips = data.draw(st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)),
+                               max_size=4), label="flips")
+    for position, mask in flips:
+        if raw:
+            raw[position % len(raw)] ^= mask
+    try:
+        parse_trace_bytes(bytes(raw))
+    except TraceFormatError:
+        pass

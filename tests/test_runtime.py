@@ -12,6 +12,7 @@ from cmrr import (
     parse_trace,
     spawn_thread,
 )
+from cmrr import bench, tracefile
 from cmrr.errors import ReplayLeftoverEvents, UsageError
 from cmrr.tracefile import parse_trace_bytes
 from conftest import record_run, replay_run
@@ -141,3 +142,25 @@ def test_fj_creation_outputs():
     ex = Execution(ExecutionMode.PASSIVE)
     result = ex.run(fj_creation, {"fanout": 3, "depth": 2})
     assert result.outputs["actors"] == result.outputs["expected"] == 13
+
+
+def _failing_write_chunk(fh, activity_id, payload):
+    raise OSError(28, "No space left on device")
+
+
+def test_trace_write_error_fails_the_run(trace_path, monkeypatch):
+    # The producer actor flushes from inside its message handler, where a
+    # raised error would go to the handler hook; the run must still fail.
+    monkeypatch.setattr(tracefile, "write_chunk", _failing_write_chunk)
+    with pytest.raises(OSError, match="No space left"):
+        bench.run_benchmark("counting-actors", "record", trace_path=trace_path,
+                            params={"count": 2000})
+
+
+def test_trace_write_error_in_final_flush_fails_the_run(trace_path, monkeypatch):
+    # Two events per thread: every chunk is flushed as its activity ends.
+    monkeypatch.setattr(tracefile, "write_chunk", _failing_write_chunk)
+    ex = Execution(ExecutionMode.RECORD, trace_path=trace_path)
+    with pytest.raises(OSError, match="No space left"):
+        ex.run(_lock_rounds, 2)
+    assert ex.sink.chunks_written == 0

@@ -119,11 +119,16 @@ def test_parse_rejects_truncation_and_bad_framing():
 def test_parse_rejects_unregistered_tag_in_payload():
     buf = io.BytesIO()
     write_header(buf, 0)
-    buf.write((1).to_bytes(8, "little"))
-    buf.write((9).to_bytes(4, "little"))
-    buf.write(bytes([0xEE]) + bytes(8))
-    with pytest.raises(TraceFormatError, match="tag"):
+    write_chunk(buf, 1, _events_bytes([TraceEvent(EventType.LOCK, 0)]))
+    chunk_offset = buf.tell()
+    good = _events_bytes([TraceEvent(EventType.LOCK, 1), TraceEvent(EventType.LOCK, 2)])
+    write_chunk(buf, 5, good + bytes([0xEE]) + bytes(8) + bytes(9))
+    with pytest.raises(TraceFormatError, match="tag 238") as excinfo:
         parse_trace_bytes(buf.getvalue())
+    message = str(excinfo.value)
+    assert "activity 5" in message
+    assert f"chunk at offset {chunk_offset}" in message
+    assert "at event 2" in message
 
 
 def test_chunk_writer_rejects_partial_events():
