@@ -34,6 +34,7 @@ from .activities import (
 from .errors import (
     AlreadyResolved,
     ExecutionAborted,
+    ReplayError,
     ReplayQueueExhausted,
     ReplayTypeMismatch,
     UsageError,
@@ -43,7 +44,7 @@ from .tracefile import ActorStrategy
 from .tracing import (
     ExecutionMode,
     VersionedEntity,
-    delay_interaction,
+    gate_interaction,
     increment_version,
     record_interaction,
     watchdog_wait,
@@ -297,7 +298,9 @@ class ActorActivity(Activity):
                 payload.fn(payload.value)
             else:
                 self._handler(payload)
-        except ExecutionAborted:
+        except (ExecutionAborted, ReplayError):
+            # A replay divergence inside the handler (say, a send beyond
+            # the recorded ones) aborts the run through run_slice.
             raise
         except BaseException as exc:  # noqa: BLE001
             # Handler errors are deterministic under replay; report them to
@@ -442,45 +445,37 @@ class Promise(VersionedEntity):
 
     def _store_or_forward(self, tag: str, item: Any) -> None:
         acting = current_activity()
-        ex = self.execution
-        if self._traced() and ex.mode is ExecutionMode.REPLAY:
-            # The sender's own trace tells us which side of the
-            # store/resolve race this operation was on.
-            acting.perturb_point()
-            head = acting.replay_queue.peek()
-            if head is None:
-                raise ReplayQueueExhausted(f"activity {acting.id}: trace exhausted "
-                                           f"at a promise operation")
-            if head.event_type == EventType.PROMISE_MSG_STORE:
-                delay_interaction(acting, self, EventType.PROMISE_MSG_STORE)
-                with self._monitor:
-                    self._pending.append((tag, item))
-                increment_version(self)
+        traced = self._traced()
+        with self._monitor:
+            if self._stores(acting, traced):
+                if traced:
+                    gate_interaction(acting, self, EventType.PROMISE_MSG_STORE)
+                    increment_version(self)
+                # Untraced (receiver-side or passive), the race needs no
+                # events: the receiving actors' traces pin every delivery.
+                self._pending.append((tag, item))
                 return
-            if head.event_type == EventType.MSG_SEND:
-                with self._monitor:
-                    self.wait_on_monitor(lambda: self._resolved)
-                self._forward(tag, item)
-                return
+            if not self._resolved:
+                watchdog_wait(self._monitor, lambda: self._resolved, self.execution)
+        self._forward(tag, item)
+
+    def _stores(self, acting, traced: bool) -> bool:
+        """Whether an operation on the promise is stored until resolution
+        (rather than forwarded); monitor held."""
+        if not (traced and self.execution.mode is ExecutionMode.REPLAY):
+            return not self._resolved
+        # The sender's own trace tells us which side of the store/resolve
+        # race this operation was on.
+        head = acting.replay_queue.peek()
+        if head is None:
+            raise ReplayQueueExhausted(f"activity {acting.id}: trace exhausted "
+                                       f"at a promise operation")
+        if head.event_type not in (EventType.PROMISE_MSG_STORE, EventType.MSG_SEND):
             raise ReplayTypeMismatch(
                 f"activity {acting.id}: promise operation expected "
                 f"PROMISE_MSG_STORE or MSG_SEND, trace holds {head.type_name}"
             )
-
-        traced = self._traced()
-        with self._monitor:
-            if not self._resolved:
-                if traced:
-                    record_interaction(acting, EventType.PROMISE_MSG_STORE,
-                                       self.version, entity=self)
-                    self._pending.append((tag, item))
-                    increment_version(self)
-                else:
-                    # Receiver-side/passive: the race needs no events; the
-                    # receiving actors' traces pin every delivery.
-                    self._pending.append((tag, item))
-                return
-        self._forward(tag, item)
+        return head.event_type == EventType.PROMISE_MSG_STORE
 
     # -- resolution -----------------------------------------------------------
 
@@ -490,23 +485,10 @@ class Promise(VersionedEntity):
         with self._monitor:
             if self._resolved:
                 raise AlreadyResolved("promise already resolved")
-        traced = self._traced()
-        if traced and self.execution.mode is ExecutionMode.REPLAY:
-            delay_interaction(acting, self, EventType.PROMISE_RESOLVE)
-            with self._monitor:
-                pending = self._take_resolved(value)
-            increment_version(self)
-        else:
-            with self._monitor:
-                if self._resolved:
-                    raise AlreadyResolved("promise already resolved")
-                if traced:
-                    record_interaction(acting, EventType.PROMISE_RESOLVE,
-                                       self.version, entity=self)
-                    pending = self._take_resolved(value)
-                    increment_version(self)
-                else:
-                    pending = self._take_resolved(value)
+            if self._traced():
+                gate_interaction(acting, self, EventType.PROMISE_RESOLVE)
+                increment_version(self)
+            pending = self._take_resolved(value)
         for tag, item in pending:
             self._forward(tag, item)
 

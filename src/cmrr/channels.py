@@ -8,8 +8,10 @@ writer a channel is deterministic; with competing readers or writers the
 recorded versions pin the pairing, and replay delays each operation until
 the channel reaches its recorded rendezvous.
 
-The replay delay happens before the channel's internal synchronization is
-taken, so a not-yet-due operation never holds the channel hostage.
+Each side claims the channel through the interaction gate. In replay the
+recorded-version check joins the claim predicate in one wait inside the
+channel monitor; ``Condition.wait`` releases the monitor while waiting,
+so a not-yet-due operation still never holds the channel hostage.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from typing import Any
 
 from .activities import current_activity
 from .events import EventType
-from .tracing import (
-    ExecutionMode,
-    VersionedEntity,
-    delay_interaction,
-    increment_version,
-    record_interaction,
-    watchdog_wait,
-)
+from .tracing import VersionedEntity, gate_interaction, increment_version, watchdog_wait
 
 
 class Channel(VersionedEntity):
@@ -63,25 +58,15 @@ class Channel(VersionedEntity):
 
     def write(self, value: Any) -> None:
         """Block until a reader takes ``value``; owns the version increment."""
-        act = current_activity()
-        ex = self.execution
-        delay_interaction(act, self, EventType.CHANNEL_WRITE)
         with self._monitor:
-            watchdog_wait(
-                self._monitor,
-                lambda: not self._writer_active and not self._post_take,
-                ex,
-            )
+            gate_interaction(current_activity(), self, EventType.CHANNEL_WRITE,
+                             lambda: not self._writer_active and not self._post_take)
             self._writer_active = True
-            # In replay the consumed event was already logged by the delay.
-            if ex.mode is not ExecutionMode.REPLAY:
-                record_interaction(act, EventType.CHANNEL_WRITE, self.version,
-                                   entity=self)
             self._slot = value
             self._slot_full = True
             self._monitor.notify_all()
             # Rendezvous: wait for the paired take to complete.
-            watchdog_wait(self._monitor, lambda: self._post_take, ex)
+            watchdog_wait(self._monitor, lambda: self._post_take, self.execution)
             increment_version(self)
             self._post_take = False
             self._writer_active = False
@@ -89,20 +74,11 @@ class Channel(VersionedEntity):
 
     def read(self) -> Any:
         """Block until paired with a writer; returns the written value."""
-        act = current_activity()
-        ex = self.execution
-        delay_interaction(act, self, EventType.CHANNEL_READ)
         with self._monitor:
-            watchdog_wait(
-                self._monitor,
-                lambda: not self._reader_active and not self._post_take,
-                ex,
-            )
+            gate_interaction(current_activity(), self, EventType.CHANNEL_READ,
+                             lambda: not self._reader_active and not self._post_take)
             self._reader_active = True
-            if ex.mode is not ExecutionMode.REPLAY:
-                record_interaction(act, EventType.CHANNEL_READ, self.version,
-                                   entity=self)
-            watchdog_wait(self._monitor, lambda: self._slot_full, ex)
+            watchdog_wait(self._monitor, lambda: self._slot_full, self.execution)
             value = self._slot
             self._slot = None
             self._slot_full = False

@@ -34,6 +34,7 @@ from .events import EventType
 from .tracing import (
     ExecutionMode,
     VersionedEntity,
+    gate_interaction,
     increment_version,
     record_interaction,
     watchdog_wait,
@@ -98,42 +99,32 @@ class RRLock(VersionedEntity):
 
     def acquire(self) -> None:
         act = current_activity()
-        ex = self.execution
+        replaying = self.execution.mode is ExecutionMode.REPLAY
         with self._monitor:
             if self._owner is act:
                 self._depth += 1  # reentrant: deterministic, not recorded
                 return
-        if ex.mode is ExecutionMode.REPLAY:
-            act.perturb_point()
-            ev = act.replay_queue.expect(EventType.LOCK)
-            with self._monitor:
-                self._gate_register(ev.data)
-                try:
-                    watchdog_wait(
-                        self._monitor,
-                        lambda: self.version == ev.data and self._owner is None,
-                        ex,
-                    )
-                finally:
-                    self._gate_unregister(ev.data)
-                act.replay_queue.poll()
-                self.note(act.id, EventType.LOCK, ev.data)
-                self._claim(act, 1)
-                increment_version(self)
-            ex.progress.bump()
-        else:
-            with self._monitor:
-                # Signaled waiters reacquire first (FIFO); giving them strict
-                # priority makes the implicit-vs-explicit race a deterministic
-                # function of lock state, identically in recording and replay.
-                watchdog_wait(
-                    self._monitor,
-                    lambda: self._owner is None and not self._implicit_queue,
-                    ex,
-                )
-                self._claim(act, 1)
-                record_interaction(act, EventType.LOCK, self.version, entity=self)
-                increment_version(self)
+            # A replayer that has to wait registers its recorded version, so
+            # that implicit reacquirers defer to it (see _reacquire_implicit).
+            # One whose turn it is passes without releasing the monitor, so
+            # nobody could see its registration. The gate checks the head's
+            # type.
+            head = act.replay_queue.peek() if replaying else None
+            gated = head is not None and (
+                self._owner is not None or self.version != head.data)
+            if gated:
+                self._gate_register(head.data)
+            try:
+                # Recording gives signaled waiters strict priority (FIFO),
+                # which makes the implicit-vs-explicit race a deterministic
+                # function of lock state; replay follows the recorded version.
+                gate_interaction(act, self, EventType.LOCK, lambda: (
+                    self._owner is None and (replaying or not self._implicit_queue)))
+            finally:
+                if gated:
+                    self._gate_unregister(head.data)
+            self._claim(act, 1)
+            increment_version(self)
 
     def release(self) -> None:
         act = current_activity()

@@ -10,7 +10,12 @@ every instrumented operation is built from:
   replay) and wakes anyone waiting on that entity,
 * ``delay_interaction`` blocks a replayed operation until the target
   entity's version matches the version stored in the activity's next
-  trace event, then consumes that event.
+  trace event (and, optionally, the operation's own readiness predicate
+  holds), then consumes that event.
+
+``gate_interaction`` composes them into the one gate every model's
+operations pass through: in replay it is ``delay_interaction``, otherwise
+it waits for readiness and records the entity's current version.
 
 A global no-progress watchdog turns blocked-forever replays (corrupted
 trace, nondeterminism leak) into ``ReplayDeadlock`` instead of hangs.
@@ -59,6 +64,12 @@ VERSION_EVENT_TYPES = frozenset({
     EventType.CHANNEL_WRITE,
     EventType.TX_COMMIT,
 })
+
+
+# Hot-path aliases: a module global reads faster than an enum member.
+_PASSIVE = ExecutionMode.PASSIVE
+_RECORD = ExecutionMode.RECORD
+_REPLAY = ExecutionMode.REPLAY
 
 
 class RecordBuffer:
@@ -139,14 +150,18 @@ class ReplayQueue:
         self._pos += 1
         return ev
 
+    def advance(self) -> None:
+        """Consume the head that ``expect`` returned."""
+        self._pos += 1
+
     def expect(self, event_type: int) -> TraceEvent:
         """Peek the head and verify its type; does not consume."""
-        ev = self.peek()
-        if ev is None:
+        if self._pos >= len(self._events):
             raise ReplayQueueExhausted(
                 f"activity {self.owner_id}: expected {EventType(event_type).name} "
                 f"but trace is exhausted"
             )
+        ev = self._events[self._pos]
         if ev.event_type != event_type:
             raise ReplayTypeMismatch(
                 f"activity {self.owner_id}: expected {EventType(event_type).name}, "
@@ -179,7 +194,11 @@ class VersionedEntity:
             self.entity_id = execution.next_internal_entity_id()
         self.execution = execution
         self.version = 0
-        self._monitor = threading.Condition(threading.RLock())
+        # ``with self._lock`` holds the monitor without the Python-level
+        # context manager of ``Condition``; the substrate's per-operation
+        # paths use it.
+        self._lock = threading.RLock()
+        self._monitor = threading.Condition(self._lock)
         self._log: list[tuple[int, int, int]] = []
         execution.register_entity(self)
 
@@ -208,10 +227,6 @@ class VersionedEntity:
                     f"{versions[:20]}... do not cover 0..{self.version - 1}")
         return None
 
-    def wait_on_monitor(self, predicate: Callable[[], bool]) -> None:
-        """Block until ``predicate()`` holds; monitor must be held."""
-        watchdog_wait(self._monitor, predicate, self.execution)
-
 
 def record_interaction(activity: "Activity", event_type: int, data: int,
                        entity: VersionedEntity | None = None) -> None:
@@ -221,7 +236,7 @@ def record_interaction(activity: "Activity", event_type: int, data: int,
     interaction in its order log for digesting.
     """
     activity.perturb_point()
-    if activity.execution.mode is not ExecutionMode.RECORD:
+    if activity.execution.mode is not _RECORD:
         return
     activity.buffer.put(event_type, data)
     if entity is not None:
@@ -235,9 +250,9 @@ def increment_version(entity: VersionedEntity) -> int:
     all waiters blocked on the entity and counts as global progress.
     """
     ex = entity.execution
-    if ex.mode is ExecutionMode.PASSIVE:
+    if ex.mode is _PASSIVE:
         return entity.version
-    with entity._monitor:
+    with entity._lock:
         entity.version += 1
         version = entity.version
         entity._monitor.notify_all()
@@ -246,25 +261,53 @@ def increment_version(entity: VersionedEntity) -> int:
 
 
 def delay_interaction(activity: "Activity", entity: VersionedEntity,
-                      expected_type: int) -> Optional[TraceEvent]:
+                      expected_type: int,
+                      ready: Optional[Callable[[], bool]] = None) -> Optional[TraceEvent]:
     """Hold a replayed operation until it is its recorded turn.
 
     Replay mode: verifies the head of the activity's replay queue has
     ``expected_type``, blocks until ``entity.version`` equals the version
-    stored in that event, then consumes and returns it. Other modes:
-    returns ``None`` without touching anything.
+    stored in that event and ``ready()`` (when given) holds, then consumes
+    and returns it. ``ready`` is evaluated with the entity monitor held,
+    which the caller may already hold. Other modes: returns ``None``
+    without touching anything.
     """
     ex = activity.execution
-    if ex.mode is not ExecutionMode.REPLAY:
+    if ex.mode is not _REPLAY:
         return None
     activity.perturb_point()
-    ev = activity.replay_queue.expect(expected_type)
-    with entity._monitor:
-        entity.wait_on_monitor(lambda: entity.version == ev.data)
-        consumed = activity.replay_queue.poll()
-        entity.note(activity.id, consumed.event_type, consumed.data)
+    queue = activity.replay_queue
+    ev = queue.expect(expected_type)
+    version = ev.data
+    with entity._lock:
+        if ready is None:
+            watchdog_wait(entity._monitor, lambda: entity.version == version, ex)
+        else:
+            watchdog_wait(entity._monitor,
+                          lambda: entity.version == version and ready(), ex)
+        queue.advance()
+        entity.note(activity.id, ev.event_type, version)
     ex.progress.bump()
-    return consumed
+    return ev
+
+
+def gate_interaction(activity: "Activity", entity: VersionedEntity,
+                     event_type: int,
+                     ready: Optional[Callable[[], bool]] = None) -> None:
+    """Wait until the activity may perform one ``event_type`` interaction
+    on ``entity``, and trace it.
+
+    Call with the entity monitor held. Replay: ``delay_interaction`` with
+    ``ready``, a single wait for the recorded version and readiness
+    together. Record and passive: wait for ``ready()``, then record the
+    event at the entity's current version (a no-op when passive).
+    """
+    if activity.execution.mode is _REPLAY:
+        delay_interaction(activity, entity, event_type, ready)
+        return
+    if ready is not None:
+        watchdog_wait(entity._monitor, ready, activity.execution)
+    record_interaction(activity, event_type, entity.version, entity=entity)
 
 
 class ProgressClock:
@@ -332,10 +375,14 @@ def watchdog_wait(cond: threading.Condition, predicate: Callable[[], bool],
     The condition's lock must be held. Abort- and deadlock-aware via
     ``DeadlockSentry``.
     """
+    if predicate():
+        return
     sentry = DeadlockSentry(execution)
-    while not predicate():
+    while True:
         sentry.poll()
         cond.wait(WAIT_TICK)
+        if predicate():
+            return
 
 
 def watchdog_wait_event(event: threading.Event, execution) -> None:

@@ -16,7 +16,12 @@ from cmrr import (
     spawn_thread,
 )
 from cmrr.bench.support import CompletionLatch
-from cmrr.errors import AlreadyResolved, UsageError
+from cmrr.errors import (
+    AlreadyResolved,
+    ReplayQueueExhausted,
+    ReplayTypeMismatch,
+    UsageError,
+)
 from conftest import passive_run, record_run, replay_run
 
 
@@ -304,6 +309,23 @@ def test_receiver_trace_receive_count_arithmetic(tmp_path):
             == processed + totals[EventType.PROMMSG_RCVD])
     # this benchmark has exactly one promise message: the resolved-value callback
     assert totals[EventType.PROMMSG_RCVD] == 1
+
+
+def test_replay_divergence_in_handler_aborts_the_run(tmp_path):
+    """A send beyond the recorded ones inside a handler fails the replay at
+    once instead of being reported to the actor's error hook."""
+    from cmrr import bench
+
+    path = str(tmp_path / "counting.trc")
+    bench.run_benchmark("counting-actors", "record", trace_path=path,
+                        params={"count": 50})
+    start = time.monotonic()
+    # The producer's 52nd send meets the trace's promise event, or the end
+    # of the trace when the recording forwarded the callback.
+    with pytest.raises((ReplayTypeMismatch, ReplayQueueExhausted), match="activity"):
+        bench.run_benchmark("counting-actors", "replay", trace_path=path,
+                            params={"count": 60}, watchdog_seconds=3)
+    assert time.monotonic() - start < 1.0
 
 
 def test_same_sender_messages_keep_program_order(trace_path):

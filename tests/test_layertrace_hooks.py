@@ -1,0 +1,39 @@
+"""The traced benchmark's counting wrappers still see every gate primitive.
+
+``perfbench/layertrace.py`` wraps the substrate functions at each of their
+module bindings; a traced run fails when a counter it expects to move
+reads zero. This test installs those wrappers around a small CSP record and
+replay, so a refactor that routes around a wrapped function fails here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from cmrr import bench
+
+_LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def _load_layertrace():
+    spec = importlib.util.spec_from_file_location("perfbench_layertrace", _LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_trace_counts_csp_gate_primitives(tmp_path):
+    layertrace = _load_layertrace()
+    path = str(tmp_path / "csp.trc")
+    params = {"philosophers": 3, "rounds": 10}
+    trace = layertrace.LayerTrace()
+    trace.install()
+    try:
+        bench.run_benchmark("philosophers-csp", "record", trace_path=path, params=params)
+        recorded = trace.take()["count"]
+        bench.run_benchmark("philosophers-csp", "replay", trace_path=path, params=params)
+        replayed = trace.take()["count"]
+    finally:
+        trace.uninstall()
+    assert recorded["record"] > 0
+    for key in ("delay", "wait", "blocked", "increment"):
+        assert replayed[key] > 0, key

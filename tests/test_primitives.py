@@ -6,6 +6,7 @@ import time
 import pytest
 
 from cmrr import (
+    Channel,
     EventType,
     Execution,
     ExecutionMode,
@@ -18,6 +19,7 @@ from cmrr import (
     encode_event,
     increment_version,
     record_interaction,
+    spawn_process,
 )
 from cmrr.errors import (
     NotAnActivity,
@@ -25,7 +27,7 @@ from cmrr.errors import (
     ReplayQueueExhausted,
     ReplayTypeMismatch,
 )
-from cmrr.tracefile import write_trace
+from cmrr.tracefile import parse_trace, write_trace
 from cmrr.tracing import RecordBuffer, ReplayQueue
 
 
@@ -132,6 +134,43 @@ def test_delay_interaction_unblocks_on_cross_activity_increment(tmp_path):
     ex.run(program)
 
 
+def test_delay_interaction_waits_for_version_and_ready(tmp_path):
+    from cmrr import spawn_thread
+
+    ex = _replay_ex(
+        tmp_path,
+        [TraceEvent(EventType.ACTIVITY_SPAWN, 15), TraceEvent(EventType.LOCK, 1)],
+    )
+
+    def program():
+        entity = VersionedEntity()
+        state = {"ready": False}
+        timeline = []
+
+        def helper():
+            time.sleep(0.05)
+            timeline.append("increment")
+            increment_version(entity)
+            time.sleep(0.05)
+            with entity._monitor:
+                timeline.append("ready")
+                state["ready"] = True
+                entity._monitor.notify_all()
+
+        child = spawn_thread(helper)
+        # The caller may already hold the entity monitor.
+        with entity._monitor:
+            event = delay_interaction(current_activity(), entity, EventType.LOCK,
+                                      lambda: state["ready"])
+            timeline.append("unblocked")
+        child.join()
+        assert event == TraceEvent(EventType.LOCK, 1)
+        assert timeline == ["increment", "ready", "unblocked"]
+        assert entity.log_entries() == [(0, EventType.LOCK, 1)]
+
+    ex.run(program)
+
+
 def test_delay_interaction_type_mismatch(tmp_path):
     ex = _replay_ex(tmp_path, [TraceEvent(EventType.CHANNEL_READ, 0)])
 
@@ -162,6 +201,32 @@ def test_watchdog_raises_replay_deadlock(tmp_path):
     with pytest.raises(ReplayDeadlock):
         ex.run(program)
     assert time.monotonic() - start < 5.0
+
+
+def test_channel_replay_with_bumped_version_deadlocks(tmp_path):
+    def program():
+        ch = Channel()
+        reader = spawn_process(lambda: ch.read())
+        ch.write("m")
+        reader.join()
+        return reader.id
+
+    path = str(tmp_path / "channel.trc")
+    reader_id = Execution(ExecutionMode.RECORD, trace_path=path).run(program).outputs
+    chunks = []
+    for activity_id, queue in parse_trace(path).queues.items():
+        events = list(queue.events)
+        if activity_id == reader_id:
+            assert events == [TraceEvent(EventType.CHANNEL_READ, 0)]
+            events = [TraceEvent(EventType.CHANNEL_READ, 1)]
+        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
+    write_trace(path, 0, chunks)
+
+    ex = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=3.0)
+    start = time.monotonic()
+    with pytest.raises(ReplayDeadlock):
+        ex.run(program)
+    assert time.monotonic() - start < 6.0
 
 
 def test_record_buffer_flush_threshold():
