@@ -42,7 +42,9 @@ from .errors import (
 from .events import EventType
 from .tracefile import ActorStrategy
 from .tracing import (
-    ExecutionMode,
+    PASSIVE,
+    RECORD,
+    REPLAY,
     VersionedEntity,
     gate_interaction,
     increment_version,
@@ -121,18 +123,17 @@ class ActorActivity(Activity):
         """
         acting = current_activity()
         ex = self.execution
-        mode = ex.mode
         sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
         pool = ex.actor_pool
 
-        if mode is ExecutionMode.REPLAY and sender_side:
+        if ex.mode is REPLAY and sender_side:
             # Non-blocking by design: attach the recorded version instead
             # of delaying the send, so pool workers can always run.
             acting.perturb_point()
-            acting.replay_queue.expect(EventType.MSG_SEND)
+            queue = acting.replay_queue
+            msg.version = queue.expect(EventType.MSG_SEND).data
+            queue.advance()
             with self._monitor:
-                ev = acting.replay_queue.poll()
-                msg.version = ev.data
                 heapq.heappush(self._heap, (msg.version, self._heap_seq, msg))
                 self._heap_seq += 1
                 self._mail_dirty = True
@@ -145,9 +146,8 @@ class ActorActivity(Activity):
             if sender_side:
                 record_interaction(acting, EventType.MSG_SEND, self.mailbox_entity.version)
                 msg.version = self.mailbox_entity.version
-            self._fifo.append(msg)
-            if mode is ExecutionMode.RECORD and sender_side:
                 increment_version(self.mailbox_entity)
+            self._fifo.append(msg)
             self._mail_dirty = True
             pool.note_enqueued()
             self._schedule_if_needed()
@@ -163,7 +163,7 @@ class ActorActivity(Activity):
     def _has_runnable_work(self) -> bool:
         # monitor held
         ex = self.execution
-        if ex.mode is ExecutionMode.REPLAY:
+        if ex.mode is REPLAY:
             if ex.strategy is ActorStrategy.SENDER_SIDE:
                 return bool(self._heap) and self._heap[0][0] == self._processed_count
             return self._mail_dirty
@@ -192,7 +192,7 @@ class ActorActivity(Activity):
 
     def _drain(self) -> None:
         ex = self.execution
-        if ex.mode is ExecutionMode.REPLAY:
+        if ex.mode is REPLAY:
             if ex.strategy is ActorStrategy.SENDER_SIDE:
                 self._drain_replay_sender_side()
             else:
@@ -202,7 +202,7 @@ class ActorActivity(Activity):
 
     def _drain_in_order(self) -> None:
         receiver_side = (self.execution.strategy is ActorStrategy.RECEIVER_SIDE
-                         and self.execution.mode is ExecutionMode.RECORD)
+                         and self.execution.mode is RECORD)
         while True:
             with self._monitor:
                 if not self._fifo:
@@ -216,7 +216,7 @@ class ActorActivity(Activity):
                                        msg.promise_message_id, entity=mailbox)
                 record_interaction(self, EventType.MSG_RCVD, msg.sender_id,
                                    entity=mailbox)
-            elif self.execution.mode is ExecutionMode.RECORD:
+            elif self.execution.mode is RECORD:
                 # sender-side: the send already recorded the event; note the
                 # processing order (== version order) for the run digest.
                 self.mailbox_entity.note(msg.sender_id, EventType.MSG_SEND, msg.version)
@@ -242,25 +242,16 @@ class ActorActivity(Activity):
                 pending = list(self._fifo)
             if not pending:
                 return
-            head = queue.peek()
-            if head is None:
-                raise ReplayQueueExhausted(
-                    f"{self.name}: messages pending but receive trace exhausted"
-                )
-            if head.event_type not in (EventType.MSG_RCVD, EventType.PROMMSG_RCVD):
-                raise ReplayTypeMismatch(
-                    f"{self.name}: expected a receive event, trace holds "
-                    f"{head.type_name}(data={head.data})"
-                )
+            head = queue.expect(EventType.MSG_RCVD, EventType.PROMMSG_RCVD)
             match = self._find_match(pending, head, queue)
             if match is None:
                 return  # awaited message not here yet; yield
             with self._monitor:
                 self._fifo.remove(match)
             self.perturb_point()
-            ev = queue.poll()
-            mailbox.note(self.id, ev.event_type, ev.data)
-            if ev.event_type == EventType.PROMMSG_RCVD:
+            queue.advance()
+            mailbox.note(self.id, head.event_type, head.data)
+            if head.event_type == EventType.PROMMSG_RCVD:
                 second = queue.poll()
                 mailbox.note(self.id, second.event_type, second.data)
             self.execution.progress.bump()
@@ -417,7 +408,7 @@ class Promise(VersionedEntity):
     def _traced(self) -> bool:
         ex = self.execution
         return (ex.strategy is ActorStrategy.SENDER_SIDE
-                and ex.mode in (ExecutionMode.RECORD, ExecutionMode.REPLAY))
+                and ex.mode is not PASSIVE)
 
     # -- sending to the eventual result --------------------------------------
 
@@ -462,19 +453,11 @@ class Promise(VersionedEntity):
     def _stores(self, acting, traced: bool) -> bool:
         """Whether an operation on the promise is stored until resolution
         (rather than forwarded); monitor held."""
-        if not (traced and self.execution.mode is ExecutionMode.REPLAY):
+        if not (traced and self.execution.mode is REPLAY):
             return not self._resolved
         # The sender's own trace tells us which side of the store/resolve
         # race this operation was on.
-        head = acting.replay_queue.peek()
-        if head is None:
-            raise ReplayQueueExhausted(f"activity {acting.id}: trace exhausted "
-                                       f"at a promise operation")
-        if head.event_type not in (EventType.PROMISE_MSG_STORE, EventType.MSG_SEND):
-            raise ReplayTypeMismatch(
-                f"activity {acting.id}: promise operation expected "
-                f"PROMISE_MSG_STORE or MSG_SEND, trace holds {head.type_name}"
-            )
+        head = acting.replay_queue.expect(EventType.PROMISE_MSG_STORE, EventType.MSG_SEND)
         return head.event_type == EventType.PROMISE_MSG_STORE
 
     # -- resolution -----------------------------------------------------------

@@ -18,8 +18,12 @@ matches the lock (an explicit acquisition or a simulated timeout) goes
 first, mirroring that, in the recording, it held the lock before the
 signal it would otherwise defer to.
 
-Recorded timeouts are simulated: replay releases the lock and waits for
-the recorded version instead of letting wall time pass.
+Recorded timeouts are simulated: replay releases the lock and reacquires
+it through the same interaction gate as an explicit acquisition, at the
+recorded version, instead of letting wall time pass. A recorded signal
+waits for the actual (replayed) signal and reacquires implicitly; the
+version it reacquired at is then checked against the recorded one, and a
+difference raises ``ReplayTypeMismatch``.
 """
 
 from __future__ import annotations
@@ -29,17 +33,19 @@ from collections import deque
 from typing import Optional
 
 from .activities import Activity, current_activity
-from .errors import NotOwner, ReplayQueueExhausted, ReplayTypeMismatch
+from .errors import NotOwner, ReplayTypeMismatch
 from .events import EventType
 from .tracing import (
-    ExecutionMode,
+    PASSIVE,
+    REPLAY,
+    WAIT_TICK,
+    DeadlockSentry,
     VersionedEntity,
     gate_interaction,
     increment_version,
     record_interaction,
     watchdog_wait,
 )
-from .tracing import DeadlockSentry, WAIT_TICK
 
 
 class _CondWaiter:
@@ -99,32 +105,38 @@ class RRLock(VersionedEntity):
 
     def acquire(self) -> None:
         act = current_activity()
-        replaying = self.execution.mode is ExecutionMode.REPLAY
         with self._monitor:
             if self._owner is act:
                 self._depth += 1  # reentrant: deterministic, not recorded
                 return
-            # A replayer that has to wait registers its recorded version, so
-            # that implicit reacquirers defer to it (see _reacquire_implicit).
-            # One whose turn it is passes without releasing the monitor, so
-            # nobody could see its registration. The gate checks the head's
-            # type.
-            head = act.replay_queue.peek() if replaying else None
-            gated = head is not None and (
-                self._owner is not None or self.version != head.data)
+            self._acquire_gated(act, EventType.LOCK, 1)
+
+    def _acquire_gated(self, act: Activity, event_type: int, depth: int) -> None:
+        """Acquire through the interaction gate as one ``event_type``
+        interaction (LOCK, or a replayed AWAIT_TIMEOUT) and leave the lock
+        held at ``depth``; monitor held, ``act`` not the owner."""
+        replaying = self.execution.mode is REPLAY
+        # A replayer that has to wait registers its recorded version, so
+        # that implicit reacquirers defer to it (see _reacquire_implicit).
+        # One whose turn it is passes without releasing the monitor, so
+        # nobody could see its registration. The gate checks the head's
+        # type.
+        head = act.replay_queue.peek() if replaying else None
+        gated = head is not None and (
+            self._owner is not None or self.version != head.data)
+        if gated:
+            self._gate_register(head.data)
+        try:
+            # Recording gives signaled waiters strict priority (FIFO),
+            # which makes the implicit-vs-explicit race a deterministic
+            # function of lock state; replay follows the recorded version.
+            gate_interaction(act, self, event_type, lambda: (
+                self._owner is None and (replaying or not self._implicit_queue)))
+        finally:
             if gated:
-                self._gate_register(head.data)
-            try:
-                # Recording gives signaled waiters strict priority (FIFO),
-                # which makes the implicit-vs-explicit race a deterministic
-                # function of lock state; replay follows the recorded version.
-                gate_interaction(act, self, EventType.LOCK, lambda: (
-                    self._owner is None and (replaying or not self._implicit_queue)))
-            finally:
-                if gated:
-                    self._gate_unregister(head.data)
-            self._claim(act, 1)
-            increment_version(self)
+                self._gate_unregister(head.data)
+        self._claim(act, depth)
+        increment_version(self)
 
     def release(self) -> None:
         act = current_activity()
@@ -173,21 +185,6 @@ class RRLock(VersionedEntity):
         self._implicit_queue.popleft()
         self._claim(act, depth)
 
-    def _reacquire_at_version(self, act: Activity, target_version: int, depth: int) -> None:
-        """Timeout simulation: reacquire once the version reaches the
-        recorded value."""
-        # monitor held
-        self._gate_register(target_version)
-        try:
-            watchdog_wait(
-                self._monitor,
-                lambda: self.version == target_version and self._owner is None,
-                self.execution,
-            )
-        finally:
-            self._gate_unregister(target_version)
-        self._claim(act, depth)
-
 
 class RRCondition:
     """Condition variable bound to an RRLock; FIFO wake order."""
@@ -211,7 +208,7 @@ class RRCondition:
             self._wait_queue.append(waiter)
             watchdog_wait(lock._monitor, lambda: waiter.signaled, lock.execution)
             lock._reacquire_implicit(act, waiter, depth)
-            if lock.execution.mode is not ExecutionMode.PASSIVE:
+            if lock.execution.mode is not PASSIVE:
                 lock.untimed_reacquisitions += 1
             increment_version(lock)
 
@@ -225,21 +222,30 @@ class RRCondition:
         lock = self._lock
         act = current_activity()
         ex = lock.execution
-        if ex.mode is ExecutionMode.REPLAY:
-            return self._replay_wait_timeout(act)
-
+        replaying = ex.mode is REPLAY
         with lock._monitor:
+            if replaying:
+                act.perturb_point()
+                head = act.replay_queue.expect(EventType.AWAIT_SIGNALED,
+                                               EventType.AWAIT_TIMEOUT)
             depth = lock._release_fully(act)
+            if replaying and head.event_type == EventType.AWAIT_TIMEOUT:
+                lock._acquire_gated(act, EventType.AWAIT_TIMEOUT, depth)
+                return False
             waiter = _CondWaiter(act)
             self._wait_queue.append(waiter)
-            deadline = time.monotonic() + timeout
-            sentry = DeadlockSentry(ex)
-            while not waiter.signaled:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                sentry.poll()
-                lock._monitor.wait(min(WAIT_TICK, remaining))
+            if replaying:
+                watchdog_wait(lock._monitor, lambda: waiter.signaled, ex)
+            else:
+                # The only wait bounded by wall time.
+                deadline = time.monotonic() + timeout
+                sentry = DeadlockSentry(ex)
+                while not waiter.signaled:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    sentry.poll()
+                    lock._monitor.wait(min(WAIT_TICK, remaining))
             signaled = waiter.signaled
             if not signaled:
                 # Not yet signaled: withdraw and rejoin as a timed-out
@@ -248,48 +254,23 @@ class RRCondition:
                 self._wait_queue.remove(waiter)
                 lock._implicit_queue.append(waiter)
             lock._reacquire_implicit(act, waiter, depth)
-            record_interaction(
-                act,
-                EventType.AWAIT_SIGNALED if signaled else EventType.AWAIT_TIMEOUT,
-                lock.version,
-                entity=lock,
-            )
+            if replaying:
+                act.replay_queue.advance()
+                if head.data != lock.version:
+                    raise ReplayTypeMismatch(
+                        f"activity {act.id}: timed wait on lock {lock.entity_id} "
+                        f"reacquired at version {lock.version}, trace holds "
+                        f"{head.type_name}(data={head.data})")
+                lock.note(act.id, EventType.AWAIT_SIGNALED, head.data)
+            else:
+                record_interaction(
+                    act,
+                    EventType.AWAIT_SIGNALED if signaled else EventType.AWAIT_TIMEOUT,
+                    lock.version,
+                    entity=lock,
+                )
             increment_version(lock)
             return signaled
-
-    def _replay_wait_timeout(self, act: Activity) -> bool:
-        lock = self._lock
-        act.perturb_point()
-        head = act.replay_queue.peek()
-        if head is None:
-            raise ReplayQueueExhausted(
-                f"activity {act.id}: trace exhausted at a timed wait"
-            )
-        if head.event_type == EventType.AWAIT_SIGNALED:
-            act.replay_queue.poll()
-            with lock._monitor:
-                depth = lock._release_fully(act)
-                waiter = _CondWaiter(act)
-                self._wait_queue.append(waiter)
-                watchdog_wait(lock._monitor, lambda: waiter.signaled, lock.execution)
-                lock._reacquire_implicit(act, waiter, depth)
-                lock.note(act.id, EventType.AWAIT_SIGNALED, head.data)
-                increment_version(lock)
-            lock.execution.progress.bump()
-            return True
-        if head.event_type == EventType.AWAIT_TIMEOUT:
-            act.replay_queue.poll()
-            with lock._monitor:
-                depth = lock._release_fully(act)
-                lock._reacquire_at_version(act, head.data, depth)
-                lock.note(act.id, EventType.AWAIT_TIMEOUT, head.data)
-                increment_version(lock)
-            lock.execution.progress.bump()
-            return False
-        raise ReplayTypeMismatch(
-            f"activity {act.id}: timed wait expected AWAIT_SIGNALED or "
-            f"AWAIT_TIMEOUT, trace holds {head.type_name}"
-        )
 
     def signal(self) -> None:
         """Wake the longest-waiting waiter; no event is recorded."""

@@ -206,11 +206,11 @@ class Execution:
         elif self.mode is ExecutionMode.REPLAY:
             parent.perturb_point()
             ev = parent.replay_queue.expect(EventType.ACTIVITY_SPAWN)
-            parent.replay_queue.poll()
+            parent.replay_queue.advance()
             if ev.data != child_id:
                 raise ReplayTypeMismatch(
-                    f"spawn divergence: trace has child {ev.data}, "
-                    f"program computed {child_id}"
+                    f"activity {parent.id}: spawn divergence: trace has child "
+                    f"{ev.data}, program computed {child_id}"
                 )
             self.progress.bump()
         if kind is ActivityKind.ACTOR:
@@ -248,26 +248,20 @@ class Execution:
         try:
             # Actors may spawn threads and threads may message actors, so
             # alternate joining and quiescence until nothing new appears.
+            # The run ends when a quiescence wait turns up no new thread.
             joined: set[int] = set()
+            quiesced = False
             while True:
-                pending = [
-                    act for act in list(self.activities.values())
-                    if isinstance(act, ThreadActivity)
-                    and act is not main and act.id not in joined
-                ]
-                if not pending:
-                    self.actor_pool.wait_quiescent()
-                    still = [
-                        act for act in list(self.activities.values())
-                        if isinstance(act, ThreadActivity)
-                        and act is not main and act.id not in joined
-                    ]
-                    if not still:
-                        break
-                    continue
+                pending = [act for act in list(self.activities.values())
+                           if isinstance(act, ThreadActivity) and act.id not in joined]
+                if quiesced and not pending:
+                    break
                 for act in pending:
                     act.join()
                     joined.add(act.id)
+                quiesced = not pending
+                if quiesced:
+                    self.actor_pool.wait_quiescent()
         except ExecutionAborted:
             pass
         except BaseException as exc:  # noqa: BLE001

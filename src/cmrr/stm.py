@@ -19,7 +19,7 @@ from .activities import current_activity
 from .errors import TransactionUsageError
 from .events import EventType
 from .tracing import (
-    ExecutionMode,
+    REPLAY,
     VersionedEntity,
     increment_version,
     record_interaction,
@@ -151,12 +151,12 @@ def _try_commit(ctx: TxContext, act) -> tuple[str, int]:
         for ref, stamp in ctx.reads.items():
             if ref._stamp != stamp:
                 return _CONFLICT, commit_point.version
-        if ex.mode is ExecutionMode.REPLAY:
+        if ex.mode is REPLAY:
             act.perturb_point()
             head = act.replay_queue.expect(EventType.TX_COMMIT)
             if head.data != commit_point.version:
                 return _NOT_OUR_TURN, commit_point.version
-            act.replay_queue.poll()
+            act.replay_queue.advance()
             commit_point.note(act.id, EventType.TX_COMMIT, head.data)
             ex.progress.bump()
         record_interaction(act, EventType.TX_COMMIT, commit_point.version,

@@ -67,9 +67,7 @@ VERSION_EVENT_TYPES = frozenset({
 
 
 # Hot-path aliases: a module global reads faster than an enum member.
-_PASSIVE = ExecutionMode.PASSIVE
-_RECORD = ExecutionMode.RECORD
-_REPLAY = ExecutionMode.REPLAY
+PASSIVE, RECORD, REPLAY = ExecutionMode
 
 
 class RecordBuffer:
@@ -154,20 +152,18 @@ class ReplayQueue:
         """Consume the head that ``expect`` returned."""
         self._pos += 1
 
-    def expect(self, event_type: int) -> TraceEvent:
-        """Peek the head and verify its type; does not consume."""
-        if self._pos >= len(self._events):
-            raise ReplayQueueExhausted(
-                f"activity {self.owner_id}: expected {EventType(event_type).name} "
-                f"but trace is exhausted"
-            )
-        ev = self._events[self._pos]
-        if ev.event_type != event_type:
-            raise ReplayTypeMismatch(
-                f"activity {self.owner_id}: expected {EventType(event_type).name}, "
-                f"trace holds {ev.type_name}(data={ev.data})"
-            )
-        return ev
+    def expect(self, *event_types: int) -> TraceEvent:
+        """Peek the head and verify its type is one of ``event_types``;
+        does not consume. The one check of what the trace may hold next."""
+        if self._pos < len(self._events):
+            ev = self._events[self._pos]
+            if ev.event_type in event_types:
+                return ev
+            error, found = ReplayTypeMismatch, f"trace holds {ev.type_name}(data={ev.data})"
+        else:
+            error, found = ReplayQueueExhausted, "trace is exhausted"
+        names = " or ".join(EventType(t).name for t in event_types)
+        raise error(f"activity {self.owner_id}: expected {names}, {found}")
 
 
 class VersionedEntity:
@@ -236,7 +232,7 @@ def record_interaction(activity: "Activity", event_type: int, data: int,
     interaction in its order log for digesting.
     """
     activity.perturb_point()
-    if activity.execution.mode is not _RECORD:
+    if activity.execution.mode is not RECORD:
         return
     activity.buffer.put(event_type, data)
     if entity is not None:
@@ -250,7 +246,7 @@ def increment_version(entity: VersionedEntity) -> int:
     all waiters blocked on the entity and counts as global progress.
     """
     ex = entity.execution
-    if ex.mode is _PASSIVE:
+    if ex.mode is PASSIVE:
         return entity.version
     with entity._lock:
         entity.version += 1
@@ -273,7 +269,7 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     without touching anything.
     """
     ex = activity.execution
-    if ex.mode is not _REPLAY:
+    if ex.mode is not REPLAY:
         return None
     activity.perturb_point()
     queue = activity.replay_queue
@@ -302,7 +298,7 @@ def gate_interaction(activity: "Activity", entity: VersionedEntity,
     together. Record and passive: wait for ``ready()``, then record the
     event at the entity's current version (a no-op when passive).
     """
-    if activity.execution.mode is _REPLAY:
+    if activity.execution.mode is REPLAY:
         delay_interaction(activity, entity, event_type, ready)
         return
     if ready is not None:
@@ -350,7 +346,7 @@ class DeadlockSentry:
     def poll(self) -> None:
         ex = self._execution
         ex.check_abort()
-        if ex.mode is not ExecutionMode.REPLAY:
+        if ex.mode is not REPLAY:
             return
         now = time.monotonic()
         progress = ex.progress.read()

@@ -9,7 +9,9 @@ from cmrr import (
     ActorStrategy,
     EventType,
     Promise,
+    TraceEvent,
     current_activity,
+    encode_event,
     parse_trace,
     send,
     spawn_actor,
@@ -22,6 +24,7 @@ from cmrr.errors import (
     ReplayTypeMismatch,
     UsageError,
 )
+from cmrr.tracefile import write_trace
 from conftest import passive_run, record_run, replay_run
 
 
@@ -325,6 +328,42 @@ def test_replay_divergence_in_handler_aborts_the_run(tmp_path):
     with pytest.raises((ReplayTypeMismatch, ReplayQueueExhausted), match="activity"):
         bench.run_benchmark("counting-actors", "replay", trace_path=path,
                             params={"count": 60}, watchdog_seconds=3)
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("strategy, rewritten", [
+    (ActorStrategy.SENDER_SIDE, EventType.PROMISE_MSG_STORE),
+    (ActorStrategy.RECEIVER_SIDE, EventType.MSG_RCVD),
+], ids=["sender", "receiver"])
+def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritten):
+    """A promise operation (sender strategy) or a receive (receiver
+    strategy) that meets another event type fails the replay at once,
+    naming the activity whose trace it read."""
+    def program():
+        latch = CompletionLatch(2)
+        owner = spawn_actor(lambda msg: latch.count_down())
+        send(owner, "direct")
+        promise = Promise()
+        promise.send("stored")
+        promise.resolve(owner)
+        latch.wait()
+
+    record_run(program, trace_path, strategy=strategy)
+    trace = parse_trace(trace_path)
+    chunks, rewritten_id = [], None
+    for activity_id, queue in trace.queues.items():
+        events = list(queue.events)
+        index = next((i for i, e in enumerate(events) if e.event_type == rewritten), None)
+        if rewritten_id is None and index is not None:
+            rewritten_id = activity_id
+            events[index] = TraceEvent(EventType.LOCK, events[index].data)
+        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
+    write_trace(trace_path, trace.strategy_flags, chunks)
+
+    start = time.monotonic()
+    with pytest.raises(ReplayTypeMismatch,
+                       match=rf"^activity {rewritten_id}: expected .*, trace holds LOCK"):
+        replay_run(program, trace_path, watchdog=3.0)
     assert time.monotonic() - start < 1.0
 
 

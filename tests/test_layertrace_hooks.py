@@ -9,7 +9,7 @@ replay, so a refactor that routes around a wrapped function fails here.
 import importlib.util
 from pathlib import Path
 
-from cmrr import bench
+from cmrr import Execution, ExecutionMode, bench
 
 _LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
@@ -37,3 +37,26 @@ def test_layer_trace_counts_csp_gate_primitives(tmp_path):
     assert recorded["record"] > 0
     for key in ("delay", "wait", "blocked", "increment"):
         assert replayed[key] > 0, key
+
+
+def test_layer_trace_wraps_timed_waits(tmp_path):
+    """No benchmark workload makes a timed wait, so this is what checks that
+    its ``watchdog_wait`` calls still fit the wrapper's signature."""
+    from test_locks import _timeout_program
+
+    layertrace = _load_layertrace()
+    path = str(tmp_path / "timeout.trc")
+    trace = layertrace.LayerTrace()
+    trace.install()
+    try:
+        recorded = Execution(ExecutionMode.RECORD, trace_path=path).run(_timeout_program)
+        recorded_counts = trace.take()["count"]
+        replayed = Execution(ExecutionMode.REPLAY, trace_path=path,
+                             watchdog_seconds=3.0).run(_timeout_program)
+        replayed_counts = trace.take()["count"]
+    finally:
+        trace.uninstall()
+    assert recorded.outputs == replayed.outputs == {"outcomes": [True, False]}
+    assert replayed.digest == recorded.digest
+    assert recorded_counts["wait"] > 0
+    assert replayed_counts["wait"] > 0

@@ -4,8 +4,17 @@ import time
 
 import pytest
 
-from cmrr import EventType, RRCondition, RRLock, parse_trace, spawn_thread
-from cmrr.errors import NotOwner
+from cmrr import (
+    EventType,
+    RRCondition,
+    RRLock,
+    TraceEvent,
+    encode_event,
+    parse_trace,
+    spawn_thread,
+)
+from cmrr.errors import NotOwner, ReplayTypeMismatch
+from cmrr.tracefile import write_trace
 from conftest import passive_run, record_run, replay_run
 
 
@@ -269,6 +278,32 @@ def test_wait_timeout_outcomes_replay_without_waiting(trace_path):
         # recorded timeout is simulated: replay must beat the 0.4s timer
         assert elapsed < 0.4, f"replay took {elapsed:.2f}s"
         assert replayed.digest == recorded.digest
+
+
+@pytest.mark.parametrize("shift", [1, 5])
+def test_replayed_signal_at_wrong_version_is_reported(trace_path, shift):
+    """A timed wait whose recorded AWAIT_SIGNALED version was changed fails
+    the replay instead of reacquiring silently at another version."""
+    ex, recorded = record_run(_timeout_program, trace_path)
+    chunks = []
+    for activity_id, queue in parse_trace(trace_path).queues.items():
+        events = []
+        for event in queue.events:
+            if event.event_type == EventType.AWAIT_SIGNALED:
+                waiter_id, actual = activity_id, event.data
+                event = TraceEvent(event.event_type, event.data + shift)
+            events.append(event)
+        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
+    write_trace(trace_path, 0, chunks)
+
+    lock_id = next(e.entity_id for e in ex.entities if e.kind == "lock")
+    start = time.monotonic()
+    with pytest.raises(ReplayTypeMismatch) as info:
+        replay_run(_timeout_program, trace_path, watchdog=3.0)
+    assert time.monotonic() - start < 1.0
+    assert str(info.value) == (
+        f"activity {waiter_id}: timed wait on lock {lock_id} reacquired at "
+        f"version {actual}, trace holds AWAIT_SIGNALED(data={actual + shift})")
 
 
 def test_lock_order_invariant_from_entity_logs(trace_path):

@@ -262,6 +262,22 @@ def test_replay_queue_cursor_and_lookahead():
     with pytest.raises(ReplayQueueExhausted):
         queue.poll()
 
+    mixed = ReplayQueue(7, [TraceEvent(EventType.LOCK, 0), TraceEvent(EventType.MSG_SEND, 4),
+                            TraceEvent(EventType.TX_COMMIT, 2)])
+    either = (EventType.MSG_SEND, EventType.LOCK)
+    assert mixed.expect(*either) == TraceEvent(EventType.LOCK, 0)
+    mixed.advance()
+    assert mixed.expect(*either) == TraceEvent(EventType.MSG_SEND, 4)
+    mixed.advance()
+    with pytest.raises(ReplayTypeMismatch, match=r"^activity 7: expected MSG_SEND or LOCK, "
+                                                 r"trace holds TX_COMMIT\(data=2\)$"):
+        mixed.expect(*either)
+    assert mixed.consumed == 2
+    mixed.advance()
+    with pytest.raises(ReplayQueueExhausted, match=r"^activity 7: expected MSG_SEND or LOCK, "
+                                                   r"trace is exhausted$"):
+        mixed.expect(*either)
+
 
 def test_current_activity_outside_runtime():
     with pytest.raises(NotAnActivity):
