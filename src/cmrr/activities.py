@@ -15,7 +15,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ExecutionAborted, NotAnActivity
-from .tracing import RecordBuffer, ReplayQueue, watchdog_wait_event
+from .tracing import WAIT_TICK, DeadlockSentry, RecordBuffer, ReplayQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Execution
@@ -137,7 +137,6 @@ class ThreadActivity(Activity):
         super().__init__(execution, activity_id, kind, path_code, path_len, name)
         self._entry = entry
         self._args = args
-        self._done = threading.Event()
         self._thread = threading.Thread(target=self._bootstrap, name=self.name, daemon=True)
 
     def start(self) -> None:
@@ -154,18 +153,17 @@ class ThreadActivity(Activity):
         finally:
             self.finish_tracing()
             set_current_activity(None)
-            self._done.set()
             self.execution.progress.bump()
 
     def join(self) -> None:
         """Wait for the activity to finish; abort- and watchdog-aware."""
         if getattr(_tls, "current", None) is self:
             raise RuntimeError("activity cannot join itself")
-        watchdog_wait_event(self._done, self.execution)
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
+        sentry = DeadlockSentry(self.execution)
+        self._thread.join(WAIT_TICK)
+        while self._thread.is_alive():
+            sentry.poll()
+            self._thread.join(WAIT_TICK)
 
 
 _tls = threading.local()

@@ -5,9 +5,9 @@ one message at a time; actors are multiplexed over a worker pool. Two
 interchangeable recording strategies are supported, selected per run:
 
 * sender-side: every send records the target mailbox's version into the
-  sender's trace; replay attaches the recorded version to the message and
-  the mailbox becomes a priority queue drained in version order. Promise
-  store/resolve races get their own versioned events.
+  sender's trace; replay files each sent message under its recorded
+  version, and the actor drains versions in order. Promise store/resolve
+  races get their own versioned events.
 * receiver-side: the processing actor records the sender identity of each
   message (plus a per-sender sequence number for promise messages, split
   into a separate preceding event); replay scans the arrival-order mailbox
@@ -20,7 +20,6 @@ new mail shows up.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from collections import deque
 from typing import Any, Callable, Optional
@@ -43,7 +42,6 @@ from .events import EventType
 from .tracefile import ActorStrategy
 from .tracing import (
     PASSIVE,
-    RECORD,
     REPLAY,
     VersionedEntity,
     gate_interaction,
@@ -59,8 +57,9 @@ class Message:
     ``sender_id`` is the original author (kept across promise forwarding);
     ``seq`` numbers every message per sender; ``promise_message_id``
     numbers promise-bound messages per sender and is present iff the
-    message was sent to a promise; ``version`` is the sender-side mailbox
-    ordering key, attached at enqueue time.
+    message was sent to a promise; ``version`` is the message's mailbox
+    key, attached at enqueue time: the recorded mailbox version under
+    sender-side replay, otherwise the mailbox's arrival index.
     """
 
     __slots__ = ("sender_id", "payload", "seq", "promise_message_id", "version")
@@ -102,10 +101,11 @@ class ActorActivity(Activity):
         self._handler = handler
         self.mailbox_entity = _Mailbox()
         self._monitor = self.mailbox_entity._monitor
-        self._fifo: deque[Message] = deque()
-        self._heap: list[tuple[int, int, Message]] = []
-        self._heap_seq = 0
-        self._processed_count = 0
+        # Pending messages by key (see ``Message.version``); ``_next`` is
+        # the key the in-order drain takes next.
+        self._mail: dict[int, Message] = {}
+        self._arrivals = 0
+        self._next = 0
         self._scheduled = False
         self._running = False
         self._mail_dirty = False
@@ -124,32 +124,35 @@ class ActorActivity(Activity):
         acting = current_activity()
         ex = self.execution
         sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
-        pool = ex.actor_pool
-
-        if ex.mode is REPLAY and sender_side:
+        replayed = sender_side and ex.mode is REPLAY
+        if replayed:
             # Non-blocking by design: attach the recorded version instead
             # of delaying the send, so pool workers can always run.
             acting.perturb_point()
             queue = acting.replay_queue
-            msg.version = queue.expect(EventType.MSG_SEND).data
+            key = queue.expect(EventType.MSG_SEND).data
             queue.advance()
-            with self._monitor:
-                heapq.heappush(self._heap, (msg.version, self._heap_seq, msg))
-                self._heap_seq += 1
-                self._mail_dirty = True
-                pool.note_enqueued()
-                self._schedule_if_needed()
             ex.progress.bump()
-            return
-
         with self._monitor:
-            if sender_side:
-                record_interaction(acting, EventType.MSG_SEND, self.mailbox_entity.version)
-                msg.version = self.mailbox_entity.version
-                increment_version(self.mailbox_entity)
-            self._fifo.append(msg)
+            if replayed:
+                # The recorded version is trace input: a reused one would
+                # overwrite a pending message or never be drained.
+                if key < self._next or key in self._mail:
+                    raise ReplayTypeMismatch(
+                        f"activity {acting.id}: send to actor {self.id} at mailbox "
+                        f"version {key}, which an earlier send already took"
+                    )
+            else:
+                key = self._arrivals
+                self._arrivals += 1
+                if sender_side:
+                    # The arrival index is the mailbox version here.
+                    record_interaction(acting, EventType.MSG_SEND, key)
+                    increment_version(self.mailbox_entity)
+            msg.version = key
+            self._mail[key] = msg
             self._mail_dirty = True
-            pool.note_enqueued()
+            ex.actor_pool.note_enqueued()
             self._schedule_if_needed()
 
     # -- scheduling ---------------------------------------------------------
@@ -163,11 +166,9 @@ class ActorActivity(Activity):
     def _has_runnable_work(self) -> bool:
         # monitor held
         ex = self.execution
-        if ex.mode is REPLAY:
-            if ex.strategy is ActorStrategy.SENDER_SIDE:
-                return bool(self._heap) and self._heap[0][0] == self._processed_count
+        if ex.mode is REPLAY and ex.strategy is ActorStrategy.RECEIVER_SIDE:
             return self._mail_dirty
-        return bool(self._fifo)
+        return self._next in self._mail
 
     def run_slice(self) -> None:
         """Process every currently runnable message, then yield the worker."""
@@ -192,45 +193,28 @@ class ActorActivity(Activity):
 
     def _drain(self) -> None:
         ex = self.execution
-        if ex.mode is REPLAY:
-            if ex.strategy is ActorStrategy.SENDER_SIDE:
-                self._drain_replay_sender_side()
-            else:
-                self._drain_replay_receiver_side()
-        else:
-            self._drain_in_order()
-
-    def _drain_in_order(self) -> None:
-        receiver_side = (self.execution.strategy is ActorStrategy.RECEIVER_SIDE
-                         and self.execution.mode is RECORD)
+        sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
+        if ex.mode is REPLAY and not sender_side:
+            self._drain_replay_receiver_side()
+            return
+        traced = ex.mode is not PASSIVE
+        mail, mailbox = self._mail, self.mailbox_entity
         while True:
             with self._monitor:
-                if not self._fifo:
-                    self._mail_dirty = False
-                    return
-                msg = self._fifo.popleft()
-            if receiver_side:
-                mailbox = self.mailbox_entity
+                msg = mail.pop(self._next, None)
+                if msg is None:
+                    return  # yield; re-polled when the next key arrives
+                self._next += 1
+            if traced and sender_side:
+                # The send traced the version; note the processing order
+                # (== version order) for the run digest.
+                mailbox.note(msg.sender_id, EventType.MSG_SEND, msg.version)
+            elif traced:
                 if msg.is_promise_message:
                     record_interaction(self, EventType.PROMMSG_RCVD,
                                        msg.promise_message_id, entity=mailbox)
                 record_interaction(self, EventType.MSG_RCVD, msg.sender_id,
                                    entity=mailbox)
-            elif self.execution.mode is RECORD:
-                # sender-side: the send already recorded the event; note the
-                # processing order (== version order) for the run digest.
-                self.mailbox_entity.note(msg.sender_id, EventType.MSG_SEND, msg.version)
-            self._execute(msg)
-
-    def _drain_replay_sender_side(self) -> None:
-        while True:
-            with self._monitor:
-                if not (self._heap and self._heap[0][0] == self._processed_count):
-                    return  # yield; re-polled when the gap message arrives
-                _, _, msg = heapq.heappop(self._heap)
-                self._processed_count += 1
-            self.mailbox_entity.note(msg.sender_id, EventType.MSG_SEND, msg.version)
-            self.execution.progress.bump()
             self._execute(msg)
 
     def _drain_replay_receiver_side(self) -> None:
@@ -239,7 +223,7 @@ class ActorActivity(Activity):
         while True:
             with self._monitor:
                 self._mail_dirty = False
-                pending = list(self._fifo)
+                pending = list(self._mail.values())  # arrival order
             if not pending:
                 return
             head = queue.expect(EventType.MSG_RCVD, EventType.PROMMSG_RCVD)
@@ -247,14 +231,13 @@ class ActorActivity(Activity):
             if match is None:
                 return  # awaited message not here yet; yield
             with self._monitor:
-                self._fifo.remove(match)
+                del self._mail[match.version]
             self.perturb_point()
             queue.advance()
             mailbox.note(self.id, head.event_type, head.data)
             if head.event_type == EventType.PROMMSG_RCVD:
                 second = queue.poll()
                 mailbox.note(self.id, second.event_type, second.data)
-            self.execution.progress.bump()
             self._execute(match)
 
     @staticmethod
@@ -263,12 +246,13 @@ class ActorActivity(Activity):
             second = queue.peek_second()
             if second is None:
                 raise ReplayQueueExhausted(
-                    "promise receive event lacks its follow-up sender event"
+                    f"activity {queue.owner_id}: expected MSG_RCVD after "
+                    f"PROMMSG_RCVD, trace is exhausted"
                 )
             if second.event_type != EventType.MSG_RCVD:
                 raise ReplayTypeMismatch(
-                    f"promise receive must be followed by a sender event, "
-                    f"trace holds {second.type_name}"
+                    f"activity {queue.owner_id}: expected MSG_RCVD after "
+                    f"PROMMSG_RCVD, trace holds {second.type_name}(data={second.data})"
                 )
             for msg in pending:
                 if (msg.is_promise_message
@@ -393,7 +377,9 @@ class Promise(VersionedEntity):
         super().__init__()
         self._resolved = False
         self._value: Any = None
-        self._pending: list[tuple[str, Any]] = []
+        # (target, message) pairs: a ``None`` target is the eventual value,
+        # an actor target registered a callback.
+        self._pending: list[tuple[Optional[ActorActivity], Message]] = []
 
     @property
     def resolved(self) -> bool:
@@ -417,7 +403,7 @@ class Promise(VersionedEntity):
         acting = current_activity()
         msg = Message(acting.id, payload, acting.next_msg_seq(),
                       promise_message_id=self._next_promise_msg_id(acting))
-        self._store_or_forward("msg", msg)
+        self._store_or_forward(None, msg)
 
     def when_resolved(self, fn: Callable[[Any], None]) -> None:
         """Run ``fn(value)`` on the registering actor's event loop once
@@ -425,8 +411,9 @@ class Promise(VersionedEntity):
         acting = current_activity()
         if not isinstance(acting, ActorActivity):
             raise UsageError("promise callbacks require an actor activity")
-        entry = (acting, fn, acting.next_msg_seq(), self._next_promise_msg_id(acting))
-        self._store_or_forward("cb", entry)
+        msg = Message(acting.id, _CallbackInvocation(fn, None), acting.next_msg_seq(),
+                      promise_message_id=self._next_promise_msg_id(acting))
+        self._store_or_forward(acting, msg)
 
     @staticmethod
     def _next_promise_msg_id(acting) -> int:
@@ -434,7 +421,7 @@ class Promise(VersionedEntity):
         acting.promise_msg_counter += 1
         return pid
 
-    def _store_or_forward(self, tag: str, item: Any) -> None:
+    def _store_or_forward(self, target: Optional[ActorActivity], msg: Message) -> None:
         acting = current_activity()
         traced = self._traced()
         with self._monitor:
@@ -444,11 +431,11 @@ class Promise(VersionedEntity):
                     increment_version(self)
                 # Untraced (receiver-side or passive), the race needs no
                 # events: the receiving actors' traces pin every delivery.
-                self._pending.append((tag, item))
+                self._pending.append((target, msg))
                 return
             if not self._resolved:
                 watchdog_wait(self._monitor, lambda: self._resolved, self.execution)
-        self._forward(tag, item)
+        self._forward(target, msg)
 
     def _stores(self, acting, traced: bool) -> bool:
         """Whether an operation on the promise is stored until resolution
@@ -472,10 +459,10 @@ class Promise(VersionedEntity):
                 gate_interaction(acting, self, EventType.PROMISE_RESOLVE)
                 increment_version(self)
             pending = self._take_resolved(value)
-        for tag, item in pending:
-            self._forward(tag, item)
+        for target, msg in pending:
+            self._forward(target, msg)
 
-    def _take_resolved(self, value) -> list[tuple[str, Any]]:
+    def _take_resolved(self, value) -> list[tuple[Optional[ActorActivity], Message]]:
         # monitor held
         self._resolved = True
         self._value = value
@@ -483,20 +470,16 @@ class Promise(VersionedEntity):
         self._monitor.notify_all()
         return pending
 
-    def _forward(self, tag: str, item: Any) -> None:
-        if tag == "cb":
-            registrant, fn, seq, pid = item
-            msg = Message(registrant.id, _CallbackInvocation(fn, self._value),
-                          seq, promise_message_id=pid)
-            registrant.enqueue(msg)
-            return
-        target = self._value
-        if not isinstance(target, ActorActivity):
-            raise UsageError(
-                "promise carrying pending messages resolved to a non-actor value"
-            )
-        item_msg: Message = item
-        target.enqueue(item_msg)
+    def _forward(self, target: Optional[ActorActivity], msg: Message) -> None:
+        if target is None:
+            target = self._value
+            if not isinstance(target, ActorActivity):
+                raise UsageError(
+                    "promise carrying pending messages resolved to a non-actor value"
+                )
+        else:
+            msg.payload.value = self._value
+        target.enqueue(msg)
 
 
 def send(target: ActorActivity, payload: Any) -> None:

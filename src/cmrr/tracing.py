@@ -379,10 +379,3 @@ def watchdog_wait(cond: threading.Condition, predicate: Callable[[], bool],
         cond.wait(WAIT_TICK)
         if predicate():
             return
-
-
-def watchdog_wait_event(event: threading.Event, execution) -> None:
-    """Wait for ``event`` with the same abort/deadlock awareness."""
-    sentry = DeadlockSentry(execution)
-    while not event.wait(WAIT_TICK):
-        sentry.poll()

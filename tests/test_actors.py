@@ -4,6 +4,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmrr import (
     ActorStrategy,
@@ -331,14 +333,17 @@ def test_replay_divergence_in_handler_aborts_the_run(tmp_path):
     assert time.monotonic() - start < 1.0
 
 
-@pytest.mark.parametrize("strategy, rewritten", [
-    (ActorStrategy.SENDER_SIDE, EventType.PROMISE_MSG_STORE),
-    (ActorStrategy.RECEIVER_SIDE, EventType.MSG_RCVD),
-], ids=["sender", "receiver"])
-def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritten):
-    """A promise operation (sender strategy) or a receive (receiver
-    strategy) that meets another event type fails the replay at once,
-    naming the activity whose trace it read."""
+@pytest.mark.parametrize("strategy, rewritten, after", [
+    (ActorStrategy.SENDER_SIDE, EventType.PROMISE_MSG_STORE, None),
+    (ActorStrategy.RECEIVER_SIDE, EventType.MSG_RCVD, None),
+    (ActorStrategy.RECEIVER_SIDE, EventType.MSG_RCVD, EventType.PROMMSG_RCVD),
+], ids=["sender", "receiver", "receiver-lookahead"])
+def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritten, after):
+    """A promise operation (sender strategy), a receive (receiver
+    strategy) or the sender event a promise receive looks ahead to, that
+    meets another event type, fails the replay at once, naming the
+    activity whose trace it read. ``after`` restricts the rewrite to an
+    event that follows one of that type."""
     def program():
         latch = CompletionLatch(2)
         owner = spawn_actor(lambda msg: latch.count_down())
@@ -353,7 +358,8 @@ def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritt
     chunks, rewritten_id = [], None
     for activity_id, queue in trace.queues.items():
         events = list(queue.events)
-        index = next((i for i, e in enumerate(events) if e.event_type == rewritten), None)
+        index = next((i for i, e in enumerate(events) if e.event_type == rewritten
+                      and (after is None or i > 0 and events[i - 1].event_type == after)), None)
         if rewritten_id is None and index is not None:
             rewritten_id = activity_id
             events[index] = TraceEvent(EventType.LOCK, events[index].data)
@@ -365,6 +371,82 @@ def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritt
                        match=rf"^activity {rewritten_id}: expected .*, trace holds LOCK"):
         replay_run(program, trace_path, watchdog=3.0)
     assert time.monotonic() - start < 1.0
+
+
+def test_duplicate_recorded_send_version_fails_at_once(trace_path):
+    """Two sends recorded at one mailbox version fail the replay at the
+    second send, naming the sender, the target actor and the version."""
+    from cmrr import bench
+
+    params = {"count": 20}
+    bench.run_benchmark("counting-actors", "record", strategy="sender",
+                        trace_path=trace_path, params=params)
+    trace = parse_trace(trace_path)
+    chunks, sender_id, version = [], None, None
+    for activity_id, queue in trace.queues.items():
+        events = list(queue.events)
+        sends = [i for i, e in enumerate(events) if e.event_type == EventType.MSG_SEND]
+        if sender_id is None and len(sends) >= 2:
+            sender_id, version = activity_id, events[sends[0]].data
+            events[sends[1]] = TraceEvent(EventType.MSG_SEND, version)
+        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
+    write_trace(trace_path, trace.strategy_flags, chunks)
+
+    start = time.monotonic()
+    with pytest.raises(ReplayTypeMismatch,
+                       match=rf"^activity {sender_id}: send to actor \d+ at mailbox "
+                             rf"version {version}\b"):
+        bench.run_benchmark("counting-actors", "replay", trace_path=trace_path,
+                            params=params, watchdog_seconds=3)
+    assert time.monotonic() - start < 1.0
+
+
+def _mailbox_race_program(sends, with_promise):
+    """Threads race ``sends[i]`` messages each into one actor; optionally
+    one more thread sends through a promise that the main activity
+    resolves to the actor."""
+    latch = CompletionLatch(sum(sends) + with_promise)
+    processed = []
+
+    def handler(msg):
+        processed.append(msg)
+        latch.count_down()
+
+    actor = spawn_actor(handler)
+
+    def sender(index, count):
+        for i in range(count):
+            time.sleep(0)  # let the other senders in between sends
+            send(actor, [index, i])
+
+    threads = [spawn_thread(sender, index, count) for index, count in enumerate(sends)]
+    if with_promise:
+        promise = Promise()
+        threads.append(spawn_thread(promise.send, "via-promise"))
+        promise.resolve(actor)
+    for t in threads:
+        t.join()
+    latch.wait()
+    return processed
+
+
+@pytest.mark.parametrize("strategy", [ActorStrategy.SENDER_SIDE, ActorStrategy.RECEIVER_SIDE],
+                         ids=["sender", "receiver"])
+@settings(max_examples=25, deadline=None)
+@given(sends=st.lists(st.integers(1, 15), min_size=1, max_size=3),
+       with_promise=st.booleans(),
+       seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)))
+def test_mailbox_replays_random_send_races(tmp_path_factory, strategy, sends,
+                                           with_promise, seeds):
+    """Recorded under one perturbation seed and replayed under another, a
+    mailbox fed by racing senders (and a promise) reproduces its order."""
+    path = str(tmp_path_factory.mktemp("mailbox") / "run.trc")
+    _, recorded = record_run(_mailbox_race_program, path, sends, with_promise,
+                             strategy=strategy, seed=seeds[0], pool_size=1)
+    _, replayed = replay_run(_mailbox_race_program, path, sends, with_promise,
+                             seed=seeds[1], pool_size=1)
+    assert replayed.digest == recorded.digest
+    assert replayed.actor_logs == recorded.actor_logs
 
 
 def test_same_sender_messages_keep_program_order(trace_path):

@@ -2,12 +2,15 @@
 
 ``perfbench/layertrace.py`` wraps the substrate functions at each of their
 module bindings; a traced run fails when a counter it expects to move
-reads zero. This test installs those wrappers around a small CSP record and
-replay, so a refactor that routes around a wrapped function fails here.
+reads zero. These tests install those wrappers around small CSP, timed-wait
+and actor records and replays, so a refactor that routes around a wrapped
+function fails here.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from cmrr import Execution, ExecutionMode, bench
 
@@ -60,3 +63,31 @@ def test_layer_trace_wraps_timed_waits(tmp_path):
     assert replayed.digest == recorded.digest
     assert recorded_counts["wait"] > 0
     assert replayed_counts["wait"] > 0
+
+
+@pytest.mark.parametrize("bench_name, strategy, params", [
+    ("counting-actors", "sender", {"count": 50}),
+    ("pingpong-actors", "receiver", {"rounds": 20}),
+], ids=["sender", "receiver"])
+def test_layer_trace_counts_actor_wrappers(tmp_path, bench_name, strategy, params):
+    """The actor counters (``actors.sends``, ``actors.slices``,
+    ``actors.msgs_per_slice``) come from wrappers of ``enqueue``,
+    ``run_slice`` and ``note_processed``; every message must pass all of
+    them under either strategy."""
+    layertrace = _load_layertrace()
+    path = str(tmp_path / f"{bench_name}.trc")
+    trace = layertrace.LayerTrace()
+    trace.install()
+    try:
+        bench.run_benchmark(bench_name, "record", strategy=strategy, trace_path=path,
+                            params=params)
+        recorded = trace.take()["count"]
+        bench.run_benchmark(bench_name, "replay", trace_path=path, params=params,
+                            watchdog_seconds=5)
+        replayed = trace.take()["count"]
+    finally:
+        trace.uninstall()
+    for counts in (recorded, replayed):
+        assert counts["send"] > 0
+        assert counts["slice"] > 0
+        assert counts["processed"] == counts["send"]
