@@ -10,18 +10,18 @@ interchangeable recording strategies are supported, selected per run:
   races get their own versioned events.
 * receiver-side: the processing actor records the sender identity of each
   message (plus a per-sender sequence number for promise messages, split
-  into a separate preceding event); replay scans the arrival-order mailbox
-  for the message matching the next recorded receive.
+  into a separate preceding event); replay files each message under its
+  sender and takes the one the next recorded receive names.
 
 Replay never blocks a pool worker waiting on a mailbox: an actor whose
-next recorded message has not arrived simply yields and is re-polled when
-new mail shows up.
+awaited message has not arrived simply yields and is rescheduled when it
+shows up.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Callable, Optional
 
 from .activities import (
@@ -42,6 +42,7 @@ from .events import EventType
 from .tracefile import ActorStrategy
 from .tracing import (
     PASSIVE,
+    RECORD,
     REPLAY,
     VersionedEntity,
     gate_interaction,
@@ -59,7 +60,9 @@ class Message:
     numbers promise-bound messages per sender and is present iff the
     message was sent to a promise; ``version`` is the message's mailbox
     key, attached at enqueue time: the recorded mailbox version under
-    sender-side replay, otherwise the mailbox's arrival index.
+    sender-side replay; under receiver-side replay ``(sender_id, n)`` for
+    the sender's n-th plain message to the actor, or ``(sender_id,
+    "promise", promise_message_id)``; otherwise the arrival index.
     """
 
     __slots__ = ("sender_id", "payload", "seq", "promise_message_id", "version")
@@ -98,17 +101,22 @@ class ActorActivity(Activity):
                  path_code=0, path_len=0, name=""):
         super().__init__(execution, activity_id, ActivityKind.ACTOR,
                          path_code, path_len, name)
+        # At 30 instance attributes CPython 3.11 stops sharing dict keys,
+        # which slows every attribute access here: keep to 29 or fewer.
         self._handler = handler
         self.mailbox_entity = _Mailbox()
         self._monitor = self.mailbox_entity._monitor
         # Pending messages by key (see ``Message.version``); ``_next`` is
-        # the key the in-order drain takes next.
-        self._mail: dict[int, Message] = {}
+        # the key the drain takes next. Under receiver-side replay it is
+        # read from the trace head, counting plain messages per sender.
+        self._mail: dict[Any, Message] = {}
         self._arrivals = 0
-        self._next = 0
+        self._arrived_from, self._taken_from = Counter(), Counter()
+        by_sender = (execution.mode is REPLAY
+                     and execution.strategy is ActorStrategy.RECEIVER_SIDE)
+        self._next = self._head_key() if by_sender else 0
         self._scheduled = False
         self._running = False
-        self._mail_dirty = False
         self.processed_log: list[tuple[int, int]] = []
         self.errors: list[BaseException] = []
         self.error_hook: Optional[Callable[[BaseException], None]] = None
@@ -124,11 +132,13 @@ class ActorActivity(Activity):
         acting = current_activity()
         ex = self.execution
         sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
+        recorded = sender_side and ex.mode is RECORD
+        if not recorded:  # else record_interaction perturbs
+            acting.perturb_point()
         replayed = sender_side and ex.mode is REPLAY
         if replayed:
             # Non-blocking by design: attach the recorded version instead
             # of delaying the send, so pool workers can always run.
-            acting.perturb_point()
             queue = acting.replay_queue
             key = queue.expect(EventType.MSG_SEND).data
             queue.advance()
@@ -142,16 +152,22 @@ class ActorActivity(Activity):
                         f"activity {acting.id}: send to actor {self.id} at mailbox "
                         f"version {key}, which an earlier send already took"
                     )
+            elif ex.mode is REPLAY:  # receiver-side
+                sender = msg.sender_id
+                if msg.promise_message_id is None:
+                    key = (sender, self._arrived_from[sender])
+                    self._arrived_from[sender] += 1
+                else:
+                    key = (sender, "promise", msg.promise_message_id)
             else:
                 key = self._arrivals
                 self._arrivals += 1
-                if sender_side:
+                if recorded:
                     # The arrival index is the mailbox version here.
                     record_interaction(acting, EventType.MSG_SEND, key)
                     increment_version(self.mailbox_entity)
             msg.version = key
             self._mail[key] = msg
-            self._mail_dirty = True
             ex.actor_pool.note_enqueued()
             self._schedule_if_needed()
 
@@ -165,9 +181,9 @@ class ActorActivity(Activity):
 
     def _has_runnable_work(self) -> bool:
         # monitor held
-        ex = self.execution
-        if ex.mode is REPLAY and ex.strategy is ActorStrategy.RECEIVER_SIDE:
-            return self._mail_dirty
+        if self._mail and isinstance(self._next, ReplayError):
+            # Mail is pending, but the trace head names no receive.
+            self.execution.abort(self._next)
         return self._next in self._mail
 
     def run_slice(self) -> None:
@@ -194,21 +210,30 @@ class ActorActivity(Activity):
     def _drain(self) -> None:
         ex = self.execution
         sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
-        if ex.mode is REPLAY and not sender_side:
-            self._drain_replay_receiver_side()
-            return
         traced = ex.mode is not PASSIVE
-        mail, mailbox = self._mail, self.mailbox_entity
+        by_sender = ex.mode is REPLAY and not sender_side
+        mail, mailbox, queue = self._mail, self.mailbox_entity, self.replay_queue
         while True:
             with self._monitor:
                 msg = mail.pop(self._next, None)
                 if msg is None:
-                    return  # yield; re-polled when the next key arrives
-                self._next += 1
+                    return  # yield; rescheduled when the awaited key arrives
+                if not by_sender:
+                    self._next += 1
             if traced and sender_side:
                 # The send traced the version; note the processing order
                 # (== version order) for the run digest.
                 mailbox.note(msg.sender_id, EventType.MSG_SEND, msg.version)
+            elif by_sender:
+                # Consume the receive events the key was read from.
+                self.perturb_point()
+                head = queue.poll()
+                mailbox.note(self.id, head.event_type, head.data)
+                if msg.is_promise_message:
+                    head = queue.poll()
+                    mailbox.note(self.id, head.event_type, head.data)
+                else:
+                    self._taken_from[msg.sender_id] += 1
             elif traced:
                 if msg.is_promise_message:
                     record_interaction(self, EventType.PROMMSG_RCVD,
@@ -216,54 +241,27 @@ class ActorActivity(Activity):
                 record_interaction(self, EventType.MSG_RCVD, msg.sender_id,
                                    entity=mailbox)
             self._execute(msg)
+            if by_sender:
+                self._next = self._head_key()
 
-    def _drain_replay_receiver_side(self) -> None:
+    def _head_key(self):
+        """Receiver-side replay: the mailbox key of the message the trace
+        head names or, when it names none, the error reading it raises."""
         queue = self.replay_queue
-        mailbox = self.mailbox_entity
-        while True:
-            with self._monitor:
-                self._mail_dirty = False
-                pending = list(self._mail.values())  # arrival order
-            if not pending:
-                return
+        try:
             head = queue.expect(EventType.MSG_RCVD, EventType.PROMMSG_RCVD)
-            match = self._find_match(pending, head, queue)
-            if match is None:
-                return  # awaited message not here yet; yield
-            with self._monitor:
-                del self._mail[match.version]
-            self.perturb_point()
-            queue.advance()
-            mailbox.note(self.id, head.event_type, head.data)
-            if head.event_type == EventType.PROMMSG_RCVD:
-                second = queue.poll()
-                mailbox.note(self.id, second.event_type, second.data)
-            self._execute(match)
-
-    @staticmethod
-    def _find_match(pending, head, queue) -> Optional[Message]:
-        if head.event_type == EventType.PROMMSG_RCVD:
-            second = queue.peek_second()
-            if second is None:
-                raise ReplayQueueExhausted(
-                    f"activity {queue.owner_id}: expected MSG_RCVD after "
-                    f"PROMMSG_RCVD, trace is exhausted"
-                )
-            if second.event_type != EventType.MSG_RCVD:
-                raise ReplayTypeMismatch(
-                    f"activity {queue.owner_id}: expected MSG_RCVD after "
-                    f"PROMMSG_RCVD, trace holds {second.type_name}(data={second.data})"
-                )
-            for msg in pending:
-                if (msg.is_promise_message
-                        and msg.promise_message_id == head.data
-                        and msg.sender_id == second.data):
-                    return msg
-            return None
-        for msg in pending:
-            if not msg.is_promise_message and msg.sender_id == head.data:
-                return msg
-        return None
+        except ReplayError as err:
+            return err
+        if head.event_type == EventType.MSG_RCVD:
+            return (head.data, self._taken_from[head.data])
+        second = queue.peek_second()
+        if second is not None and second.event_type == EventType.MSG_RCVD:
+            return (second.data, "promise", head.data)
+        error = f"activity {self.id}: expected MSG_RCVD after PROMMSG_RCVD, "
+        if second is None:
+            return ReplayQueueExhausted(error + "trace is exhausted")
+        return ReplayTypeMismatch(
+            error + f"trace holds {second.type_name}(data={second.data})")
 
     def _execute(self, msg: Message) -> None:
         self.processed_log.append((msg.sender_id, msg.seq))

@@ -106,8 +106,9 @@ class ReplayQueue:
     """Ordered per-activity event sequence with a consuming cursor.
 
     ``poll`` consumes strictly in recorded order; ``peek`` never consumes.
-    One extra event of lookahead beyond the head is available, which
-    receiver-side actor replay needs to match split two-event records.
+    One event of lookahead past the head is available: receiver-side
+    actor replay reads both events of a promise receive, PROMMSG_RCVD(id)
+    then MSG_RCVD(sender), to name the message before it has arrived.
     """
 
     def __init__(self, owner_id: int, events: Iterable[TraceEvent]):

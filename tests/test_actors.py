@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from cmrr import (
     ActorStrategy,
     EventType,
+    Execution,
+    ExecutionMode,
+    PerturbationPlan,
     Promise,
     TraceEvent,
     current_activity,
@@ -316,18 +319,25 @@ def test_receiver_trace_receive_count_arithmetic(tmp_path):
     assert totals[EventType.PROMMSG_RCVD] == 1
 
 
-def test_replay_divergence_in_handler_aborts_the_run(tmp_path):
-    """A send beyond the recorded ones inside a handler fails the replay at
-    once instead of being reported to the actor's error hook."""
+@pytest.mark.parametrize("strategy, error, match", [
+    # The producer's 52nd send meets the trace's promise event, or the end
+    # of the trace when the recording forwarded the callback.
+    ("sender", (ReplayTypeMismatch, ReplayQueueExhausted), "activity"),
+    # The counter (activity 15) takes its 51 recorded messages, then meets
+    # pending mail with its trace exhausted.
+    ("receiver", ReplayQueueExhausted, r"^activity 15: .*trace is exhausted"),
+], ids=["sender", "receiver"])
+def test_replay_divergence_in_handler_aborts_the_run(tmp_path, strategy, error, match):
+    """Sends beyond the recorded ones fail the replay at once, naming the
+    activity whose trace ran out, instead of being reported to the actor's
+    error hook or waiting for the watchdog."""
     from cmrr import bench
 
     path = str(tmp_path / "counting.trc")
-    bench.run_benchmark("counting-actors", "record", trace_path=path,
-                        params={"count": 50})
+    bench.run_benchmark("counting-actors", "record", strategy=strategy,
+                        trace_path=path, params={"count": 50})
     start = time.monotonic()
-    # The producer's 52nd send meets the trace's promise event, or the end
-    # of the trace when the recording forwarded the callback.
-    with pytest.raises((ReplayTypeMismatch, ReplayQueueExhausted), match="activity"):
+    with pytest.raises(error, match=match):
         bench.run_benchmark("counting-actors", "replay", trace_path=path,
                             params={"count": 60}, watchdog_seconds=3)
     assert time.monotonic() - start < 1.0
@@ -401,11 +411,11 @@ def test_duplicate_recorded_send_version_fails_at_once(trace_path):
     assert time.monotonic() - start < 1.0
 
 
-def _mailbox_race_program(sends, with_promise):
-    """Threads race ``sends[i]`` messages each into one actor; optionally
-    one more thread sends through a promise that the main activity
-    resolves to the actor."""
-    latch = CompletionLatch(sum(sends) + with_promise)
+def _mailbox_race_program(sends):
+    """Threads race messages into one actor: thread ``i`` sends one message
+    per entry of ``sends[i]``, plainly (False) or through one promise
+    (True) that the main activity resolves to the actor."""
+    latch = CompletionLatch(sum(map(len, sends)))
     processed = []
 
     def handler(msg):
@@ -413,17 +423,18 @@ def _mailbox_race_program(sends, with_promise):
         latch.count_down()
 
     actor = spawn_actor(handler)
+    promise = Promise()
 
-    def sender(index, count):
-        for i in range(count):
+    def sender(index, via_promise):
+        for i, through_promise in enumerate(via_promise):
             time.sleep(0)  # let the other senders in between sends
-            send(actor, [index, i])
+            if through_promise:
+                promise.send([index, i])
+            else:
+                send(actor, [index, i])
 
-    threads = [spawn_thread(sender, index, count) for index, count in enumerate(sends)]
-    if with_promise:
-        promise = Promise()
-        threads.append(spawn_thread(promise.send, "via-promise"))
-        promise.resolve(actor)
+    threads = [spawn_thread(sender, index, via) for index, via in enumerate(sends)]
+    promise.resolve(actor)
     for t in threads:
         t.join()
     latch.wait()
@@ -433,20 +444,77 @@ def _mailbox_race_program(sends, with_promise):
 @pytest.mark.parametrize("strategy", [ActorStrategy.SENDER_SIDE, ActorStrategy.RECEIVER_SIDE],
                          ids=["sender", "receiver"])
 @settings(max_examples=25, deadline=None)
-@given(sends=st.lists(st.integers(1, 15), min_size=1, max_size=3),
-       with_promise=st.booleans(),
+@given(sends=st.lists(st.lists(st.booleans(), min_size=1, max_size=15),
+                      min_size=1, max_size=3),
        seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)))
-def test_mailbox_replays_random_send_races(tmp_path_factory, strategy, sends,
-                                           with_promise, seeds):
+def test_mailbox_replays_random_send_races(tmp_path_factory, strategy, sends, seeds):
     """Recorded under one perturbation seed and replayed under another, a
-    mailbox fed by racing senders (and a promise) reproduces its order."""
+    mailbox fed by racing senders, each mixing plain and promise messages,
+    reproduces its order."""
     path = str(tmp_path_factory.mktemp("mailbox") / "run.trc")
-    _, recorded = record_run(_mailbox_race_program, path, sends, with_promise,
+    _, recorded = record_run(_mailbox_race_program, path, sends,
                              strategy=strategy, seed=seeds[0], pool_size=1)
-    _, replayed = replay_run(_mailbox_race_program, path, sends, with_promise,
+    _, replayed = replay_run(_mailbox_race_program, path, sends,
                              seed=seeds[1], pool_size=1)
     assert replayed.digest == recorded.digest
     assert replayed.actor_logs == recorded.actor_logs
+
+
+def _racing_sends_program():
+    """Three threads race ten plain sends each into one actor."""
+    latch = CompletionLatch(30)
+    processed = []
+
+    def handler(msg):
+        processed.append(msg)
+        latch.count_down()
+
+    actor = spawn_actor(handler)
+
+    def sender(index):
+        for i in range(10):
+            send(actor, (index, i))
+
+    threads = [spawn_thread(sender, index) for index in range(3)]
+    for t in threads:
+        t.join()
+    latch.wait()
+    return tuple(processed)
+
+
+@pytest.mark.parametrize("strategy", [ActorStrategy.SENDER_SIDE, ActorStrategy.RECEIVER_SIDE],
+                         ids=["sender", "receiver"])
+def test_perturbation_reorders_racing_sends(strategy):
+    """Every send is a perturbation point under both strategies, so
+    perturbation seeds yield different processing orders of racing sends."""
+    orders = set()
+    for seed in range(8):
+        ex = Execution(ExecutionMode.RECORD, strategy=strategy, sink="discard",
+                       pool_size=1, perturb=PerturbationPlan(seed, prob=0.5))
+        orders.add(ex.run(_racing_sends_program).outputs)
+    assert len(orders) >= 2
+
+
+def test_receiver_replay_scales_like_sender_replay(tmp_path):
+    """Receiver-side replay takes each message by its key instead of
+    scanning the backlog, so on 20,000 messages its best replay time stays
+    within 2x of sender-side replay's."""
+    from cmrr import bench
+
+    params = {"count": 20000}
+    best = {}
+    for strategy in ("sender", "receiver"):
+        path = str(tmp_path / f"{strategy}.trc")
+        bench.run_benchmark("counting-actors", "record", strategy=strategy,
+                            trace_path=path, params=params)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            bench.run_benchmark("counting-actors", "replay", trace_path=path,
+                                params=params)
+            times.append(time.perf_counter() - start)
+        best[strategy] = min(times)
+    assert best["receiver"] <= 2 * best["sender"], best
 
 
 def test_same_sender_messages_keep_program_order(trace_path):
