@@ -153,7 +153,7 @@ class ThreadActivity(Activity):
         finally:
             self.finish_tracing()
             set_current_activity(None)
-            self.execution.progress.bump()
+            self.execution.progress += 1
 
     def join(self) -> None:
         """Wait for the activity to finish; abort- and watchdog-aware."""

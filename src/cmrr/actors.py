@@ -142,7 +142,7 @@ class ActorActivity(Activity):
             queue = acting.replay_queue
             key = queue.expect(EventType.MSG_SEND).data
             queue.advance()
-            ex.progress.bump()
+            ex.progress += 1
         with self._monitor:
             if replayed:
                 # The recorded version is trace input: a reused one would
@@ -212,7 +212,7 @@ class ActorActivity(Activity):
         sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
         traced = ex.mode is not PASSIVE
         by_sender = ex.mode is REPLAY and not sender_side
-        mail, mailbox, queue = self._mail, self.mailbox_entity, self.replay_queue
+        mail, mailbox = self._mail, self.mailbox_entity
         while True:
             with self._monitor:
                 msg = mail.pop(self._next, None)
@@ -224,20 +224,14 @@ class ActorActivity(Activity):
                 # The send traced the version; note the processing order
                 # (== version order) for the run digest.
                 mailbox.note(msg.sender_id, EventType.MSG_SEND, msg.version)
-            elif by_sender:
-                # Consume the receive events the key was read from.
-                self.perturb_point()
-                head = queue.poll()
-                mailbox.note(self.id, head.event_type, head.data)
-                if msg.is_promise_message:
-                    head = queue.poll()
-                    mailbox.note(self.id, head.event_type, head.data)
-                else:
-                    self._taken_from[msg.sender_id] += 1
             elif traced:
+                # Receiver-side: trace who sent it; replay checks and
+                # consumes the events the key was read from.
                 if msg.is_promise_message:
                     record_interaction(self, EventType.PROMMSG_RCVD,
                                        msg.promise_message_id, entity=mailbox)
+                elif by_sender:
+                    self._taken_from[msg.sender_id] += 1
                 record_interaction(self, EventType.MSG_RCVD, msg.sender_id,
                                    entity=mailbox)
             self._execute(msg)
@@ -335,11 +329,7 @@ class ActorPool:
             self._unprocessed -= 1
             if self._unprocessed == 0:
                 self._work_cond.notify_all()
-        self.execution.progress.bump()
-
-    @property
-    def unprocessed(self) -> int:
-        return self._unprocessed
+        self.execution.progress += 1
 
     def wait_quiescent(self) -> None:
         """Block until no message is pending or being processed."""

@@ -19,6 +19,7 @@ from . import bench
 from .errors import ReplayError, TraceFormatError
 from .events import EVENT_SIZE, EventType
 from .tracefile import CHUNK_HEADER_SIZE, HEADER_SIZE, parse_trace
+from .tracing import DEFAULT_WATCHDOG_SECONDS
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheduling-perturbation seed")
     run_p.add_argument("--params", action="append", default=[], metavar="KEY=VALUE",
                        help="benchmark parameter override (repeatable)")
-    run_p.add_argument("--watchdog", type=float, default=30.0,
+    run_p.add_argument("--watchdog", type=float, default=DEFAULT_WATCHDOG_SECONDS,
                        help="replay no-progress watchdog in seconds")
     run_p.add_argument("--pool", type=int, default=None, help="actor pool size")
     run_p.set_defaults(func=_cmd_run)

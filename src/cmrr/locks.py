@@ -21,9 +21,9 @@ signal it would otherwise defer to.
 Recorded timeouts are simulated: replay releases the lock and reacquires
 it through the same interaction gate as an explicit acquisition, at the
 recorded version, instead of letting wall time pass. A recorded signal
-waits for the actual (replayed) signal and reacquires implicitly; the
-version it reacquired at is then checked against the recorded one, and a
-difference raises ``ReplayTypeMismatch``.
+waits for the actual (replayed) signal, reacquires implicitly and passes
+the reacquisition version to ``record_interaction``, which checks it
+against the trace as it does every event the program computes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections import deque
 from typing import Optional
 
 from .activities import Activity, current_activity
-from .errors import NotOwner, ReplayTypeMismatch
+from .errors import NotOwner
 from .events import EventType
 from .tracing import (
     PASSIVE,
@@ -225,7 +225,6 @@ class RRCondition:
         replaying = ex.mode is REPLAY
         with lock._monitor:
             if replaying:
-                act.perturb_point()
                 head = act.replay_queue.expect(EventType.AWAIT_SIGNALED,
                                                EventType.AWAIT_TIMEOUT)
             depth = lock._release_fully(act)
@@ -254,21 +253,12 @@ class RRCondition:
                 self._wait_queue.remove(waiter)
                 lock._implicit_queue.append(waiter)
             lock._reacquire_implicit(act, waiter, depth)
-            if replaying:
-                act.replay_queue.advance()
-                if head.data != lock.version:
-                    raise ReplayTypeMismatch(
-                        f"activity {act.id}: timed wait on lock {lock.entity_id} "
-                        f"reacquired at version {lock.version}, trace holds "
-                        f"{head.type_name}(data={head.data})")
-                lock.note(act.id, EventType.AWAIT_SIGNALED, head.data)
-            else:
-                record_interaction(
-                    act,
-                    EventType.AWAIT_SIGNALED if signaled else EventType.AWAIT_TIMEOUT,
-                    lock.version,
-                    entity=lock,
-                )
+            record_interaction(
+                act,
+                EventType.AWAIT_SIGNALED if signaled else EventType.AWAIT_TIMEOUT,
+                lock.version,
+                entity=lock,
+            )
             increment_version(lock)
             return signaled
 

@@ -151,14 +151,11 @@ def _try_commit(ctx: TxContext, act) -> tuple[str, int]:
         for ref, stamp in ctx.reads.items():
             if ref._stamp != stamp:
                 return _CONFLICT, commit_point.version
-        if ex.mode is REPLAY:
-            act.perturb_point()
-            head = act.replay_queue.expect(EventType.TX_COMMIT)
-            if head.data != commit_point.version:
-                return _NOT_OUR_TURN, commit_point.version
-            act.replay_queue.advance()
-            commit_point.note(act.id, EventType.TX_COMMIT, head.data)
-            ex.progress.bump()
+        # Replay commits only at the version its trace head records;
+        # record_interaction then checks and consumes that head.
+        if (ex.mode is REPLAY
+                and act.replay_queue.expect(EventType.TX_COMMIT).data != commit_point.version):
+            return _NOT_OUR_TURN, commit_point.version
         record_interaction(act, EventType.TX_COMMIT, commit_point.version,
                            entity=commit_point)
         increment_version(commit_point)

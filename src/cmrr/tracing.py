@@ -4,8 +4,10 @@ Holds the execution-mode switch, per-activity record buffers and replay
 queues, per-entity version counters, and the three framework primitives
 every instrumented operation is built from:
 
-* ``record_interaction`` appends one event to the acting activity's buffer
-  (recording mode only),
+* ``record_interaction`` is record-or-check for an event whose data word
+  the program computes: recording appends it to the acting activity's
+  buffer, replay checks that the trace head is exactly that event and
+  consumes it, passive does nothing,
 * ``increment_version`` bumps an entity's version counter (recording and
   replay) and wakes anyone waiting on that entity,
 * ``delay_interaction`` blocks a replayed operation until the target
@@ -16,6 +18,9 @@ every instrumented operation is built from:
 ``gate_interaction`` composes them into the one gate every model's
 operations pass through: in replay it is ``delay_interaction``, otherwise
 it waits for readiness and records the entity's current version.
+
+Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
+``record_interaction``, so every divergence is reported in one format.
 
 A global no-progress watchdog turns blocked-forever replays (corrupted
 trace, nondeterminism leak) into ``ReplayDeadlock`` instead of hangs.
@@ -105,10 +110,11 @@ class RecordBuffer:
 class ReplayQueue:
     """Ordered per-activity event sequence with a consuming cursor.
 
-    ``poll`` consumes strictly in recorded order; ``peek`` never consumes.
-    One event of lookahead past the head is available: receiver-side
-    actor replay reads both events of a promise receive, PROMMSG_RCVD(id)
-    then MSG_RCVD(sender), to name the message before it has arrived.
+    ``expect`` checks the head's type and ``advance`` consumes it, strictly
+    in recorded order; ``peek`` never consumes. One event of lookahead past
+    the head is available: receiver-side actor replay reads both events of
+    a promise receive, PROMMSG_RCVD(id) then MSG_RCVD(sender), to name the
+    message before it has arrived.
     """
 
     def __init__(self, owner_id: int, events: Iterable[TraceEvent]):
@@ -138,16 +144,6 @@ class ReplayQueue:
         if self._pos + 1 < len(self._events):
             return self._events[self._pos + 1]
         return None
-
-    def poll(self) -> TraceEvent:
-        ev = self.peek()
-        if ev is None:
-            raise ReplayQueueExhausted(
-                f"activity {self.owner_id}: trace exhausted but another "
-                f"recordable operation was attempted"
-            )
-        self._pos += 1
-        return ev
 
     def advance(self) -> None:
         """Consume the head that ``expect`` returned."""
@@ -227,15 +223,31 @@ class VersionedEntity:
 
 def record_interaction(activity: "Activity", event_type: int, data: int,
                        entity: VersionedEntity | None = None) -> None:
-    """Append one event to the activity's record buffer.
+    """Record one event, or check it against the trace in replay.
 
-    No-op outside recording mode. ``entity``, when given, receives the
-    interaction in its order log for digesting.
+    Recording appends it to the activity's record buffer. Replay verifies
+    that the activity's trace head is exactly ``(event_type, data)``,
+    consumes it and counts progress; a different data word raises
+    ``ReplayTypeMismatch``, a different type or an exhausted trace what
+    ``ReplayQueue.expect`` raises. No-op when passive. ``entity``, when
+    given, receives the interaction in its order log for digesting.
     """
     activity.perturb_point()
-    if activity.execution.mode is not RECORD:
+    ex = activity.execution
+    if ex.mode is RECORD:
+        activity.buffer.put(event_type, data)
+    elif ex.mode is REPLAY:
+        queue = activity.replay_queue
+        ev = queue.expect(event_type)
+        if ev.data != data:
+            on = "" if entity is None else f" on {entity.kind} {entity.entity_id}"
+            raise ReplayTypeMismatch(
+                f"activity {activity.id}: {ev.type_name}(data={data}){on}, "
+                f"trace holds {ev.type_name}(data={ev.data})")
+        queue.advance()
+        ex.progress += 1
+    else:
         return
-    activity.buffer.put(event_type, data)
     if entity is not None:
         entity.note(activity.id, event_type, data)
 
@@ -253,7 +265,7 @@ def increment_version(entity: VersionedEntity) -> int:
         entity.version += 1
         version = entity.version
         entity._monitor.notify_all()
-    ex.progress.bump()
+    ex.progress += 1
     return version
 
 
@@ -284,7 +296,7 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
                           lambda: entity.version == version and ready(), ex)
         queue.advance()
         entity.note(activity.id, ev.event_type, version)
-    ex.progress.bump()
+    ex.progress += 1
     return ev
 
 
@@ -307,34 +319,12 @@ def gate_interaction(activity: "Activity", entity: VersionedEntity,
     record_interaction(activity, event_type, entity.version, entity=entity)
 
 
-class ProgressClock:
-    """Counts every globally visible step a run makes.
-
-    Blocked replay waiters watch this counter: if it stands still for the
-    whole watchdog interval while someone is blocked, the trace and the
-    program have diverged. The counter is deliberately unlocked: it is a
-    heuristic clock, and a racy lost increment at worst delays one
-    deadline reset by a tick.
-    """
-
-    __slots__ = ("_count",)
-
-    def __init__(self):
-        self._count = 0
-
-    def bump(self) -> None:
-        self._count += 1
-
-    def read(self) -> int:
-        return self._count
-
-
 class DeadlockSentry:
     """Per-wait-site watchdog bookkeeping.
 
     ``poll()`` is called between wait ticks; it re-raises the execution's
     abort error, and in replay mode raises ``ReplayDeadlock`` once the
-    global progress clock has stood still for the watchdog interval.
+    execution's progress count has stood still for the watchdog interval.
     """
 
     __slots__ = ("_execution", "_deadline", "_last_progress")
@@ -342,7 +332,7 @@ class DeadlockSentry:
     def __init__(self, execution):
         self._execution = execution
         self._deadline = None
-        self._last_progress = execution.progress.read()
+        self._last_progress = execution.progress
 
     def poll(self) -> None:
         ex = self._execution
@@ -350,7 +340,7 @@ class DeadlockSentry:
         if ex.mode is not REPLAY:
             return
         now = time.monotonic()
-        progress = ex.progress.read()
+        progress = ex.progress
         if progress != self._last_progress:
             self._last_progress = progress
             self._deadline = None

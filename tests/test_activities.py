@@ -11,12 +11,14 @@ from cmrr import (
     ExecutionMode,
     MemorySink,
     current_activity,
+    encode_event,
     parse_trace,
     spawn_actor,
     spawn_thread,
 )
 from cmrr.activities import child_activity_id
-from cmrr.errors import ReplayError, ReplayTypeMismatch
+from cmrr.errors import ReplayError, ReplayQueueExhausted, ReplayTypeMismatch
+from cmrr.tracefile import write_trace
 from conftest import record_run, replay_run
 
 
@@ -94,8 +96,20 @@ def test_replay_detects_spawn_tree_divergence(trace_path):
         spawn_thread(lambda: None).join()
 
     record_run(flat, trace_path)
-    with pytest.raises(ReplayError):
+    middle_id = child_activity_id(0, 0, 0)[0]
+    with pytest.raises(ReplayQueueExhausted, match=(
+            rf"^activity {middle_id}: expected ACTIVITY_SPAWN, trace is exhausted$")):
         replay_run(nested, trace_path)
+
+    # A trace in which main spawned its two children the other way round.
+    main_events = parse_trace(trace_path).queues[0].events
+    first, second = (child_activity_id(0, 0, n)[0] for n in range(2))
+    assert [e.data for e in main_events] == [first, second]
+    write_trace(trace_path, 0, [(0, b"".join(encode_event(e) for e in main_events[::-1]))])
+    with pytest.raises(ReplayTypeMismatch) as info:
+        replay_run(flat, trace_path)
+    assert str(info.value) == (f"activity 0: ACTIVITY_SPAWN(data={first}), "
+                               f"trace holds ACTIVITY_SPAWN(data={second})")
 
 
 def test_replayed_run_yields_identical_activity_ids(trace_path):

@@ -302,8 +302,8 @@ def test_replayed_signal_at_wrong_version_is_reported(trace_path, shift):
         replay_run(_timeout_program, trace_path, watchdog=3.0)
     assert time.monotonic() - start < 1.0
     assert str(info.value) == (
-        f"activity {waiter_id}: timed wait on lock {lock_id} reacquired at "
-        f"version {actual}, trace holds AWAIT_SIGNALED(data={actual + shift})")
+        f"activity {waiter_id}: AWAIT_SIGNALED(data={actual}) on lock {lock_id}, "
+        f"trace holds AWAIT_SIGNALED(data={actual + shift})")
 
 
 def test_lock_order_invariant_from_entity_logs(trace_path):

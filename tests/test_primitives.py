@@ -73,6 +73,47 @@ def test_record_interaction_noop_when_passive():
     ex.run(program)
 
 
+def test_record_interaction_consumes_matching_head_in_replay(tmp_path):
+    ex = _replay_ex(tmp_path, [TraceEvent(EventType.LOCK, 3)])
+
+    def program():
+        act = current_activity()
+        entity = VersionedEntity()
+        before = ex.progress
+        record_interaction(act, EventType.LOCK, 3, entity=entity)
+        assert act.replay_queue.consumed == 1
+        assert entity.log_entries() == [(0, EventType.LOCK, 3)]
+        assert ex.progress == before + 1
+
+    ex.run(program)
+
+
+def test_record_interaction_reports_data_mismatch_in_replay(tmp_path):
+    ex = _replay_ex(tmp_path, [TraceEvent(EventType.AWAIT_SIGNALED, 3)])
+
+    def program():
+        entity = VersionedEntity()
+        record_interaction(current_activity(), EventType.AWAIT_SIGNALED, 2, entity=entity)
+
+    with pytest.raises(ReplayTypeMismatch) as info:
+        ex.run(program)
+    assert str(info.value) == ("activity 0: AWAIT_SIGNALED(data=2) on entity (0, 0), "
+                               "trace holds AWAIT_SIGNALED(data=3)")
+
+
+def test_record_interaction_reports_exhausted_trace_in_replay(tmp_path):
+    ex = _replay_ex(tmp_path, [TraceEvent(EventType.TX_COMMIT, 0)])
+
+    def program():
+        act = current_activity()
+        record_interaction(act, EventType.TX_COMMIT, 0)
+        record_interaction(act, EventType.TX_COMMIT, 1)
+
+    with pytest.raises(ReplayQueueExhausted,
+                       match=r"^activity 0: expected TX_COMMIT, trace is exhausted$"):
+        ex.run(program)
+
+
 def test_increment_version_by_mode():
     def bump_thrice():
         entity = VersionedEntity()
@@ -252,15 +293,15 @@ def test_replay_queue_cursor_and_lookahead():
     queue = ReplayQueue(1, events)
     assert queue.peek() == events[0]
     assert queue.peek_second() == events[1]
-    assert queue.poll() == events[0]
+    queue.advance()
     assert queue.peek() == events[1]
     assert queue.consumed == 1
-    assert queue.poll() == events[1]
-    assert queue.poll() == events[2]
+    queue.advance()
+    queue.advance()
     assert queue.peek() is None
     assert queue.peek_second() is None
     with pytest.raises(ReplayQueueExhausted):
-        queue.poll()
+        queue.expect(EventType.LOCK)
 
     mixed = ReplayQueue(7, [TraceEvent(EventType.LOCK, 0), TraceEvent(EventType.MSG_SEND, 4),
                             TraceEvent(EventType.TX_COMMIT, 2)])
