@@ -8,10 +8,11 @@ writer a channel is deterministic; with competing readers or writers the
 recorded versions pin the pairing, and replay delays each operation until
 the channel reaches its recorded rendezvous.
 
-Each side claims the channel through the interaction gate. In replay the
-recorded-version check joins the claim predicate in one wait inside the
-channel monitor; ``Condition.wait`` releases the monitor while waiting,
-so a not-yet-due operation still never holds the channel hostage.
+Each side passes the interaction gate once: a writer once no other
+rendezvous is in progress, a reader once a value waits in the slot. In
+replay the recorded-version check joins that predicate in one wait inside
+the channel monitor; ``Condition.wait`` releases the monitor while
+waiting, so a not-yet-due operation still never holds the channel hostage.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ class Channel(VersionedEntity):
         super().__init__()
         self._slot: Any = None
         self._slot_full = False
-        # One rendezvous at a time: a side is "active" from claiming the
-        # channel until its half of the hand-off completes; the post-take
-        # window blocks new claims until the version increment lands.
+        # One rendezvous at a time: the writer is "active" from claiming the
+        # channel until the version increment lands; the post-take window
+        # blocks new claims until then.
         self._writer_active = False
-        self._reader_active = False
         self._post_take = False
 
     def digest_lines(self):
@@ -76,13 +76,10 @@ class Channel(VersionedEntity):
         """Block until paired with a writer; returns the written value."""
         with self._monitor:
             gate_interaction(current_activity(), self, EventType.CHANNEL_READ,
-                             lambda: not self._reader_active and not self._post_take)
-            self._reader_active = True
-            watchdog_wait(self._monitor, lambda: self._slot_full, self.execution)
+                             lambda: self._slot_full and not self._post_take)
             value = self._slot
             self._slot = None
             self._slot_full = False
             self._post_take = True
-            self._reader_active = False
             self._monitor.notify_all()
             return value

@@ -20,10 +20,12 @@ signal it would otherwise defer to.
 
 Recorded timeouts are simulated: replay releases the lock and reacquires
 it through the same interaction gate as an explicit acquisition, at the
-recorded version, instead of letting wall time pass. A recorded signal
-waits for the actual (replayed) signal, reacquires implicitly and passes
-the reacquisition version to ``record_interaction``, which checks it
-against the trace as it does every event the program computes.
+recorded version, instead of letting wall time pass. Every other
+condition wait parks once, for its reacquisition: its waiter must head
+the implicit queue, which in replay only the actual (replayed) signal
+puts it in, and the lock must be free. A recorded signal then passes the
+reacquisition version to ``record_interaction``, which checks it against
+the trace as it does every event the program computes.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ class RRLock(VersionedEntity):
         self._depth = 0
         # Signaled condition waiters awaiting reacquisition, in signal order.
         self._implicit_queue: deque[_CondWaiter] = deque()
-        # Replayed acquirers gated on a version: version -> waiter count.
-        self._gated_versions: dict[int, int] = {}
+        # Versions that a parked replayed acquirer waits for; exactly one
+        # acquisition takes each version.
+        self._gated_versions: set[int] = set()
         # Untimed condition waits record nothing but bump the version.
         self.untimed_reacquisitions = 0
 
@@ -83,23 +86,6 @@ class RRLock(VersionedEntity):
                     f"{self.untimed_reacquisitions} untimed reacquisitions "
                     f"!= final version {self.version}")
         return None
-
-    # -- gating bookkeeping ---------------------------------------------------
-
-    def _gate_register(self, version: int) -> None:
-        self._gated_versions[version] = self._gated_versions.get(version, 0) + 1
-
-    def _gate_unregister(self, version: int) -> None:
-        count = self._gated_versions[version] - 1
-        if count:
-            self._gated_versions[version] = count
-        else:
-            del self._gated_versions[version]
-
-    def _claim(self, activity: Activity, depth: int) -> None:
-        # monitor held, owner is None
-        self._owner = activity
-        self._depth = depth
 
     # -- public operations ----------------------------------------------------
 
@@ -125,7 +111,7 @@ class RRLock(VersionedEntity):
         gated = head is not None and (
             self._owner is not None or self.version != head.data)
         if gated:
-            self._gate_register(head.data)
+            self._gated_versions.add(head.data)
         try:
             # Recording gives signaled waiters strict priority (FIFO),
             # which makes the implicit-vs-explicit race a deterministic
@@ -134,8 +120,9 @@ class RRLock(VersionedEntity):
                 self._owner is None and (replaying or not self._implicit_queue)))
         finally:
             if gated:
-                self._gate_unregister(head.data)
-        self._claim(act, depth)
+                self._gated_versions.discard(head.data)
+        self._owner = act
+        self._depth = depth
         increment_version(self)
 
     def release(self) -> None:
@@ -171,7 +158,7 @@ class RRLock(VersionedEntity):
     def _reacquire_implicit(self, act: Activity, waiter: _CondWaiter, depth: int) -> None:
         """Reacquire after a condition wait; FIFO among implicit waiters,
         deferring to any replayer gated on the current version."""
-        # monitor held; waiter is already in the implicit queue
+        # monitor held; heading the implicit queue implies a signal or timeout
         watchdog_wait(
             self._monitor,
             lambda: (
@@ -183,7 +170,8 @@ class RRLock(VersionedEntity):
             self.execution,
         )
         self._implicit_queue.popleft()
-        self._claim(act, depth)
+        self._owner = act
+        self._depth = depth
 
 
 class RRCondition:
@@ -206,7 +194,6 @@ class RRCondition:
             depth = lock._release_fully(act)
             waiter = _CondWaiter(act)
             self._wait_queue.append(waiter)
-            watchdog_wait(lock._monitor, lambda: waiter.signaled, lock.execution)
             lock._reacquire_implicit(act, waiter, depth)
             if lock.execution.mode is not PASSIVE:
                 lock.untimed_reacquisitions += 1
@@ -233,26 +220,23 @@ class RRCondition:
                 return False
             waiter = _CondWaiter(act)
             self._wait_queue.append(waiter)
-            if replaying:
-                watchdog_wait(lock._monitor, lambda: waiter.signaled, ex)
-            else:
-                # The only wait bounded by wall time.
+            if not replaying:
+                # The only wait bounded by wall time. A waiter still
+                # unsignaled at the deadline withdraws and rejoins as a
+                # timed-out reacquirer, atomically because signals move
+                # waiters only under this monitor.
                 deadline = time.monotonic() + timeout
                 sentry = DeadlockSentry(ex)
                 while not waiter.signaled:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
+                        self._wait_queue.remove(waiter)
+                        lock._implicit_queue.append(waiter)
                         break
                     sentry.poll()
                     lock._monitor.wait(min(WAIT_TICK, remaining))
-            signaled = waiter.signaled
-            if not signaled:
-                # Not yet signaled: withdraw and rejoin as a timed-out
-                # reacquirer. Atomic here because signals move waiters
-                # only under this monitor.
-                self._wait_queue.remove(waiter)
-                lock._implicit_queue.append(waiter)
             lock._reacquire_implicit(act, waiter, depth)
+            signaled = waiter.signaled
             record_interaction(
                 act,
                 EventType.AWAIT_SIGNALED if signaled else EventType.AWAIT_TIMEOUT,

@@ -5,10 +5,11 @@ are retried indefinitely on conflict, so failed attempts have no
 observable effect and the only nondeterminism is the order of successful
 commits. A single global commit point serializes commit processing; each
 successful commit records one TX_COMMIT event carrying the global commit
-version. During replay a transaction whose conflict check passes commits
-only when the global version matches its activity's next recorded event;
-otherwise the attempt fails and the body runs again, which reproduces the
-recorded commit order without reproducing the (irrelevant) retry counts.
+version. During replay an attempt first waits, once and inside the commit
+point's monitor, until the global version reaches its activity's next
+recorded commit; it then commits if its reads are still current and
+otherwise runs the body again at that turn, which reproduces the recorded
+commit order without reproducing the (irrelevant) retry counts.
 """
 
 from __future__ import annotations
@@ -28,24 +29,11 @@ from .tracing import (
 
 T = TypeVar("T")
 
-_CONFLICT = "conflict"
-_NOT_OUR_TURN = "not-our-turn"
-_COMMITTED = "committed"
-
 
 class CommitPoint(VersionedEntity):
-    """Global commit lock plus the recorded commit version counter.
-
-    ``version`` follows the mode-gated increment discipline and is what
-    events carry; ``stamp`` is an internal always-on counter used for
-    conflict detection so passive runs stay correct.
-    """
+    """Global commit lock plus the recorded commit version counter."""
 
     kind = "commit"
-
-    def __init__(self, execution):
-        super().__init__(execution=execution)
-        self.stamp = 0
 
 
 class TxRef:
@@ -56,7 +44,7 @@ class TxRef:
 
     def __init__(self, value: Any = None, label: str = ""):
         self._value = value
-        self._stamp = 0
+        self._stamp = 0  # commits that wrote the cell, in every mode
         self.label = label
 
     def get(self) -> Any:
@@ -118,10 +106,9 @@ def atomic(body: Callable[[], T]) -> T:
     after the attempt is discarded. Transactions are flat: nesting raises.
     """
     act = current_activity()
-    ex = act.execution
-    if getattr(act, "tx_context", None) is not None:
+    if act.tx_context is not None:
         raise TransactionUsageError("transactions cannot nest")
-    commit_point = ex.commit_point
+    commit_point = act.execution.commit_point
     while True:
         ctx = TxContext(commit_point)
         act.tx_context = ctx
@@ -129,39 +116,29 @@ def atomic(body: Callable[[], T]) -> T:
             result = body()
         finally:
             act.tx_context = None
-        status, seen_version = _try_commit(ctx, act)
-        if status is _COMMITTED:
+        if _try_commit(ctx, act):
             return result
-        if status is _NOT_OUR_TURN:
-            # Another activity's commit is recorded next; sleep until the
-            # global version moves instead of spinning the body.
-            with commit_point._monitor:
-                watchdog_wait(
-                    commit_point._monitor,
-                    lambda: commit_point.version != seen_version,
-                    ex,
-                )
-        # conflict: retry immediately with fresh reads
+        # conflict: retry with fresh reads
 
 
-def _try_commit(ctx: TxContext, act) -> tuple[str, int]:
+def _try_commit(ctx: TxContext, act) -> bool:
+    """Commit ``ctx`` unless a cell it read has been written since; replay
+    first waits for the activity's recorded commit version, and
+    record_interaction then checks and consumes that head."""
     ex = act.execution
     commit_point = ctx.commit_point
     with commit_point._monitor:
+        if ex.mode is REPLAY:
+            version = act.replay_queue.expect(EventType.TX_COMMIT).data
+            watchdog_wait(commit_point._monitor,
+                          lambda: commit_point.version == version, ex)
         for ref, stamp in ctx.reads.items():
             if ref._stamp != stamp:
-                return _CONFLICT, commit_point.version
-        # Replay commits only at the version its trace head records;
-        # record_interaction then checks and consumes that head.
-        if (ex.mode is REPLAY
-                and act.replay_queue.expect(EventType.TX_COMMIT).data != commit_point.version):
-            return _NOT_OUR_TURN, commit_point.version
+                return False
         record_interaction(act, EventType.TX_COMMIT, commit_point.version,
                            entity=commit_point)
         increment_version(commit_point)
-        commit_point.stamp += 1
-        stamp = commit_point.stamp
         for ref, value in ctx.writes.items():
             ref._value = value
-            ref._stamp = stamp
-        return _COMMITTED, commit_point.version
+            ref._stamp += 1
+        return True

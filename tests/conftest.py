@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from cmrr import Execution, ExecutionMode
@@ -31,3 +33,24 @@ def replay_run(program, trace_path, *args, seed=None, watchdog=5.0, **kwargs):
 def passive_run(program, *args, **kwargs):
     ex = Execution(ExecutionMode.PASSIVE, **kwargs)
     return ex, ex.run(program, *args)
+
+
+def count_watchdog_waits(monkeypatch) -> list:
+    """Count ``watchdog_wait`` calls: returns a list that gains one entry
+    per call. The function is imported by name into several modules, so
+    every binding in a loaded cmrr module is patched."""
+    from cmrr import tracing
+
+    original = tracing.watchdog_wait
+    calls = []
+
+    def counting_wait(cond, predicate, execution):
+        calls.append(1)
+        return original(cond, predicate, execution)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cmrr" or name.startswith("cmrr."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_wait)
+    return calls

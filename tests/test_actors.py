@@ -1,5 +1,7 @@
 """Actor mailbox ordering, promises, and both recording strategies."""
 
+import os
+import statistics
 import time
 from collections import Counter
 
@@ -497,24 +499,32 @@ def test_perturbation_reorders_racing_sends(strategy):
 
 def test_receiver_replay_scales_like_sender_replay(tmp_path):
     """Receiver-side replay takes each message by its key instead of
-    scanning the backlog, so on 20,000 messages its best replay time stays
-    within 2x of sender-side replay's."""
+    scanning the backlog, so on 20,000 messages its median replay time stays
+    within 2x of sender-side replay's. The test process is pinned to one CPU
+    and the two strategies alternate, so a change in machine load or speed
+    falls on both."""
     from cmrr import bench
 
     params = {"count": 20000}
-    best = {}
-    for strategy in ("sender", "receiver"):
-        path = str(tmp_path / f"{strategy}.trc")
-        bench.run_benchmark("counting-actors", "record", strategy=strategy,
-                            trace_path=path, params=params)
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            bench.run_benchmark("counting-actors", "replay", trace_path=path,
-                                params=params)
-            times.append(time.perf_counter() - start)
-        best[strategy] = min(times)
-    assert best["receiver"] <= 2 * best["sender"], best
+    paths = {strategy: str(tmp_path / f"{strategy}.trc")
+             for strategy in ("sender", "receiver")}
+    times = {strategy: [] for strategy in paths}
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        for strategy, path in paths.items():
+            bench.run_benchmark("counting-actors", "record", strategy=strategy,
+                                trace_path=path, params=params)
+        for _ in range(5):
+            for strategy, path in paths.items():
+                start = time.perf_counter()
+                bench.run_benchmark("counting-actors", "replay", trace_path=path,
+                                    params=params)
+                times[strategy].append(time.perf_counter() - start)
+    finally:
+        os.sched_setaffinity(0, affinity)
+    medians = {strategy: statistics.median(t) for strategy, t in times.items()}
+    assert medians["receiver"] <= 2 * medians["sender"], times
 
 
 def test_same_sender_messages_keep_program_order(trace_path):

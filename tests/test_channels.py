@@ -1,13 +1,12 @@
 """Rendezvous pairing, version sharing, and replay of channel races."""
 
-import sys
 import time
 from collections import Counter
 
 import pytest
 
-from cmrr import Channel, EventType, bench, parse_trace, spawn_process, tracing
-from conftest import passive_run, record_run, replay_run
+from cmrr import Channel, EventType, bench, parse_trace, spawn_process
+from conftest import count_watchdog_waits, passive_run, record_run, replay_run
 
 
 def test_single_pair_shares_one_version(trace_path):
@@ -181,27 +180,17 @@ def test_passive_mode_plain_rendezvous():
 
 
 def test_replayed_channel_operation_waits_twice(tmp_path, monkeypatch):
-    """The replay gate folds the recorded-version check into the claim
-    wait: one wait to claim, one for the partner's half of the hand-off."""
+    """The replay gate folds the recorded-version check into each side's
+    one readiness wait: a read parks once, until a value waits in the slot
+    at its recorded version; a write parks to claim the channel and once
+    more for the partner's take."""
     path = str(tmp_path / "csp.trc")
     params = {"philosophers": 5, "rounds": 20}
     bench.run_benchmark("philosophers-csp", "record", trace_path=path, params=params)
-    ops = sum(1 for queue in parse_trace(path).queues.values()
-              for e in queue.events
-              if e.event_type in (EventType.CHANNEL_READ, EventType.CHANNEL_WRITE))
-    original = tracing.watchdog_wait
-    calls = []
-
-    def counting_wait(cond, predicate, execution):
-        calls.append(1)
-        return original(cond, predicate, execution)
-
-    # watchdog_wait is imported by name into several modules: patch each.
-    for name, module in list(sys.modules.items()):
-        if name == "cmrr" or name.startswith("cmrr."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting_wait)
+    counts = Counter(e.event_type for queue in parse_trace(path).queues.values()
+                     for e in queue.events)
+    calls = count_watchdog_waits(monkeypatch)
     bench.run_benchmark("philosophers-csp", "replay", trace_path=path, params=params)
-    assert ops == 2 * (5 * 20 * 5 + 1)  # five rendezvous per meal, one to finish
-    assert len(calls) == 2 * ops
+    rendezvous = 5 * 20 * 5 + 1  # five per meal, one to finish
+    assert counts[EventType.CHANNEL_READ] == counts[EventType.CHANNEL_WRITE] == rendezvous
+    assert len(calls) == 2 * rendezvous + rendezvous == 1503  # 2 per write, 1 per read

@@ -15,7 +15,7 @@ from cmrr import (
 )
 from cmrr.errors import NotOwner, ReplayTypeMismatch
 from cmrr.tracefile import write_trace
-from conftest import passive_run, record_run, replay_run
+from conftest import count_watchdog_waits, passive_run, record_run, replay_run
 
 
 def _type_counts(trace, activity_id):
@@ -304,6 +304,44 @@ def test_replayed_signal_at_wrong_version_is_reported(trace_path, shift):
     assert str(info.value) == (
         f"activity {waiter_id}: AWAIT_SIGNALED(data={actual}) on lock {lock_id}, "
         f"trace holds AWAIT_SIGNALED(data={actual + shift})")
+
+
+def _turn_program():
+    lock = RRLock()
+    cond = RRCondition(lock)
+    state = {"turn": 0, "waits": 0}
+
+    def player(i):
+        # Each player starts the next lower one while it holds the lock, so
+        # players 4..1 all wait before player 0 takes the first turn.
+        with lock:
+            child = spawn_thread(player, i - 1) if i else None
+            while state["turn"] != i:
+                state["waits"] += 1
+                cond.wait()
+            state["turn"] += 1
+            cond.signal_all()
+        if child:
+            child.join()
+
+    spawn_thread(player, 4).join()
+    return state
+
+
+@pytest.mark.parametrize("program, waits", [
+    (_turn_program, 5 + 10),   # 5 acquisitions, 4 + 3 + 2 + 1 condition waits
+    (_timeout_program, 2 + 2),  # 2 acquisitions, 2 timed waits
+])
+def test_each_replayed_condition_wait_parks_once(trace_path, monkeypatch, program, waits):
+    """In replay every acquisition and every condition wait makes one
+    ``watchdog_wait`` call: a condition waiter parks once, until it heads
+    the implicit queue and may take the lock."""
+    ex, recorded = record_run(program, trace_path)
+    calls = count_watchdog_waits(monkeypatch)
+    ex2, replayed = replay_run(program, trace_path)
+    assert replayed.outputs == recorded.outputs
+    assert replayed.digest == recorded.digest
+    assert len(calls) == waits
 
 
 def test_lock_order_invariant_from_entity_logs(trace_path):
