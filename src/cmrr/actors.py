@@ -105,7 +105,7 @@ class ActorActivity(Activity):
         # which slows every attribute access here: keep to 29 or fewer.
         self._handler = handler
         self.mailbox_entity = _Mailbox()
-        self._monitor = self.mailbox_entity._monitor
+        self._mailbox_lock = self.mailbox_entity._lock
         # Pending messages by key (see ``Message.version``); ``_next`` is
         # the key the drain takes next. Under receiver-side replay it is
         # read from the trace head, counting plain messages per sender.
@@ -143,7 +143,7 @@ class ActorActivity(Activity):
             key = queue.expect(EventType.MSG_SEND).data
             queue.advance()
             ex.progress += 1
-        with self._monitor:
+        with self._mailbox_lock:
             if replayed:
                 # The recorded version is trace input: a reused one would
                 # overwrite a pending message or never be drained.
@@ -188,7 +188,7 @@ class ActorActivity(Activity):
 
     def run_slice(self) -> None:
         """Process every currently runnable message, then yield the worker."""
-        with self._monitor:
+        with self._mailbox_lock:
             self._scheduled = False
             self._running = True
         set_current_activity(self)
@@ -200,7 +200,7 @@ class ActorActivity(Activity):
             self.execution.abort(exc)
         finally:
             set_current_activity(None)
-            with self._monitor:
+            with self._mailbox_lock:
                 self._running = False
                 if self._has_runnable_work():
                     self._schedule_if_needed()
@@ -214,7 +214,7 @@ class ActorActivity(Activity):
         by_sender = ex.mode is REPLAY and not sender_side
         mail, mailbox = self._mail, self.mailbox_entity
         while True:
-            with self._monitor:
+            with self._mailbox_lock:
                 msg = mail.pop(self._next, None)
                 if msg is None:
                     return  # yield; rescheduled when the awaited key arrives
@@ -412,7 +412,7 @@ class Promise(VersionedEntity):
     def _store_or_forward(self, target: Optional[ActorActivity], msg: Message) -> None:
         acting = current_activity()
         traced = self._traced()
-        with self._monitor:
+        with self._lock:
             if self._stores(acting, traced):
                 if traced:
                     gate_interaction(acting, self, EventType.PROMISE_MSG_STORE)
@@ -440,7 +440,7 @@ class Promise(VersionedEntity):
     def resolve(self, value: Any) -> None:
         """Resolve at most once; forwards all stored messages and callbacks."""
         acting = current_activity()
-        with self._monitor:
+        with self._lock:
             if self._resolved:
                 raise AlreadyResolved("promise already resolved")
             if self._traced():
@@ -455,7 +455,8 @@ class Promise(VersionedEntity):
         self._resolved = True
         self._value = value
         pending, self._pending = self._pending, []
-        self._monitor.notify_all()
+        if self._monitor.parked:
+            self._monitor.notify_all()
         return pending
 
     def _forward(self, target: Optional[ActorActivity], msg: Message) -> None:

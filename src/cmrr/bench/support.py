@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+from ..errors import UsageError
 from ..locks import RRCondition, RRLock
 
 
@@ -39,4 +40,7 @@ def sequence_digest(items) -> str:
 
 def int_param(params: dict, key: str, default: int) -> int:
     value = params.get(key, default)
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"parameter {key} expects an integer, got {value!r}") from None

@@ -58,28 +58,31 @@ class Channel(VersionedEntity):
 
     def write(self, value: Any) -> None:
         """Block until a reader takes ``value``; owns the version increment."""
-        with self._monitor:
+        with self._lock:
             gate_interaction(current_activity(), self, EventType.CHANNEL_WRITE,
                              lambda: not self._writer_active and not self._post_take)
             self._writer_active = True
             self._slot = value
             self._slot_full = True
-            self._monitor.notify_all()
+            if self._monitor.parked:
+                self._monitor.notify_all()
             # Rendezvous: wait for the paired take to complete.
             watchdog_wait(self._monitor, lambda: self._post_take, self.execution)
             increment_version(self)
             self._post_take = False
             self._writer_active = False
-            self._monitor.notify_all()
+            if self._monitor.parked:
+                self._monitor.notify_all()
 
     def read(self) -> Any:
         """Block until paired with a writer; returns the written value."""
-        with self._monitor:
+        with self._lock:
             gate_interaction(current_activity(), self, EventType.CHANNEL_READ,
                              lambda: self._slot_full and not self._post_take)
             value = self._slot
             self._slot = None
             self._slot_full = False
             self._post_take = True
-            self._monitor.notify_all()
+            if self._monitor.parked:
+                self._monitor.notify_all()
             return value

@@ -5,8 +5,8 @@ Subcommands:
   dump  print every event of a trace, per activity
   stats print per-activity and per-type event counts and octet totals
 
-Exit codes: 0 success, 2 trace/format error, 3 replay divergence
-(type mismatch, deadlock watchdog, leftover events).
+Exit codes: 0 success, 2 usage or trace error, 3 replay divergence (type
+mismatch, deadlock watchdog, leftover events); each error prints one line.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from . import bench
-from .errors import ReplayError, TraceFormatError
+from .errors import ReplayError, TraceFormatError, UsageError
 from .events import EVENT_SIZE, EventType
 from .tracefile import CHUNK_HEADER_SIZE, HEADER_SIZE, parse_trace
 from .tracing import DEFAULT_WATCHDOG_SECONDS
@@ -30,7 +30,7 @@ def _parse_params(pairs: list[str]) -> dict:
     params = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--params expects key=value, got {pair!r}")
+            raise UsageError(f"--params expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         params[key] = value
     return params
@@ -56,6 +56,9 @@ def _cmd_run(args) -> int:
     except TraceFormatError as exc:
         print(f"trace format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except (UsageError, FileNotFoundError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     except ReplayError as exc:
         print(f"replay divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -72,7 +75,9 @@ def _load_trace(path: str):
         return parse_trace(path)
     except TraceFormatError as exc:
         print(f"trace format error: {exc}", file=sys.stderr)
-        return None
+    except FileNotFoundError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+    return None
 
 
 def _cmd_dump(args) -> int:

@@ -91,7 +91,7 @@ class RRLock(VersionedEntity):
 
     def acquire(self) -> None:
         act = current_activity()
-        with self._monitor:
+        with self._lock:
             if self._owner is act:
                 self._depth += 1  # reentrant: deterministic, not recorded
                 return
@@ -127,13 +127,14 @@ class RRLock(VersionedEntity):
 
     def release(self) -> None:
         act = current_activity()
-        with self._monitor:
+        with self._lock:
             if self._owner is not act:
                 raise NotOwner(f"{act.name} does not hold this lock")
             self._depth -= 1
             if self._depth == 0:
                 self._owner = None
-                self._monitor.notify_all()
+                if self._monitor.parked:
+                    self._monitor.notify_all()
 
     def __enter__(self):
         self.acquire()
@@ -152,7 +153,8 @@ class RRLock(VersionedEntity):
         depth = self._depth
         self._owner = None
         self._depth = 0
-        self._monitor.notify_all()
+        if self._monitor.parked:
+            self._monitor.notify_all()
         return depth
 
     def _reacquire_implicit(self, act: Activity, waiter: _CondWaiter, depth: int) -> None:
@@ -190,7 +192,7 @@ class RRCondition:
         """
         lock = self._lock
         act = current_activity()
-        with lock._monitor:
+        with lock._lock:
             depth = lock._release_fully(act)
             waiter = _CondWaiter(act)
             self._wait_queue.append(waiter)
@@ -210,7 +212,7 @@ class RRCondition:
         act = current_activity()
         ex = lock.execution
         replaying = ex.mode is REPLAY
-        with lock._monitor:
+        with lock._lock:
             if replaying:
                 head = act.replay_queue.expect(EventType.AWAIT_SIGNALED,
                                                EventType.AWAIT_TIMEOUT)
@@ -250,24 +252,26 @@ class RRCondition:
         """Wake the longest-waiting waiter; no event is recorded."""
         lock = self._lock
         act = current_activity()
-        with lock._monitor:
+        with lock._lock:
             if lock._owner is not act:
                 raise NotOwner(f"{act.name} does not hold the condition's lock")
             if self._wait_queue:
                 waiter = self._wait_queue.popleft()
                 waiter.signaled = True
                 lock._implicit_queue.append(waiter)
-                lock._monitor.notify_all()
+                if lock._monitor.parked:
+                    lock._monitor.notify_all()
 
     def signal_all(self) -> None:
         """Wake all waiters, preserving their waiting order."""
         lock = self._lock
         act = current_activity()
-        with lock._monitor:
+        with lock._lock:
             if lock._owner is not act:
                 raise NotOwner(f"{act.name} does not hold the condition's lock")
             while self._wait_queue:
                 waiter = self._wait_queue.popleft()
                 waiter.signaled = True
                 lock._implicit_queue.append(waiter)
-            lock._monitor.notify_all()
+            if lock._monitor.parked:
+                lock._monitor.notify_all()

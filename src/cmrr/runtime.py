@@ -15,6 +15,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Optional
 
 from .activities import (
@@ -309,9 +310,9 @@ class Execution:
         with self._entities_lock:
             entities = sorted(self.entities, key=lambda e: e.entity_id)
         for entity in entities:
-            h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
-            for activity_id, event_type, data in entity.digest_lines():
-                h.update(f"|{activity_id},{event_type},{data}".encode())
+            lines = entity.digest_lines()
+            body = ("|%d,%d,%d" * len(lines)) % tuple(chain.from_iterable(lines))
+            h.update(f"\n#{entity.kind}{entity.entity_id}{body}".encode())
         return h.hexdigest()
 
     def version_completeness_report(self) -> list[str]:

@@ -80,7 +80,7 @@ class TxContext:
         if ref not in self.values:
             # First touch: copy value and stamp under the commit lock so
             # they are mutually consistent.
-            with self.commit_point._monitor:
+            with self.commit_point._lock:
                 self.values[ref] = ref._value
                 self.reads[ref] = ref._stamp
         return self.values[ref]
@@ -127,7 +127,7 @@ def _try_commit(ctx: TxContext, act) -> bool:
     record_interaction then checks and consumes that head."""
     ex = act.execution
     commit_point = ctx.commit_point
-    with commit_point._monitor:
+    with commit_point._lock:
         if ex.mode is REPLAY:
             version = act.replay_queue.expect(EventType.TX_COMMIT).data
             watchdog_wait(commit_point._monitor,

@@ -9,7 +9,7 @@ every instrumented operation is built from:
   buffer, replay checks that the trace head is exactly that event and
   consumes it, passive does nothing,
 * ``increment_version`` bumps an entity's version counter (recording and
-  replay) and wakes anyone waiting on that entity,
+  replay) and wakes anyone parked on that entity,
 * ``delay_interaction`` blocks a replayed operation until the target
   entity's version matches the version stored in the activity's next
   trace event (and, optionally, the operation's own readiness predicate
@@ -163,15 +163,32 @@ class ReplayQueue:
         raise error(f"activity {self.owner_id}: expected {names}, {found}")
 
 
+class Monitor(threading.Condition):
+    """Condition counting the threads parked in ``wait``. The count changes
+    only under the lock, so a waker holding it may skip ``notify_all``
+    when it reads 0: any waiter not counted has yet to test its predicate."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.parked = 0
+
+    def wait(self, timeout=None):
+        self.parked += 1
+        try:
+            return threading.Condition.wait(self, timeout)  # cheaper than super()
+        finally:
+            self.parked -= 1
+
+
 class VersionedEntity:
     """Passive entity carrying a monotone version counter.
 
     The counter orders all nondeterministic interactions with the entity.
-    Each entity owns one monitor; operations mutate the version only while
-    holding it, and replay waiters for the entity block on it. The entity
-    also keeps an in-memory log of the interactions it saw (recorded in
-    recording mode, consumed in replay mode), which feeds run digests and
-    version-completeness checks.
+    Each entity owns one monitor, entered through its RLock ``_lock``;
+    operations mutate the version only while holding it, and waiters for
+    the entity park on it. The entity also keeps an in-memory log of the
+    interactions it saw (recorded in recording mode, consumed in replay
+    mode), which feeds run digests and version-completeness checks.
     """
 
     kind = "entity"
@@ -188,16 +205,15 @@ class VersionedEntity:
         self.execution = execution
         self.version = 0
         # ``with self._lock`` holds the monitor without the Python-level
-        # context manager of ``Condition``; the substrate's per-operation
-        # paths use it.
+        # context manager of ``Condition``; every model operation uses it.
         self._lock = threading.RLock()
-        self._monitor = threading.Condition(self._lock)
+        self._monitor = Monitor(self._lock)
         self._log: list[tuple[int, int, int]] = []
         execution.register_entity(self)
 
     def note(self, activity_id: int, event_type: int, data: int) -> None:
         """Append one interaction to the entity-order log (monitor held)."""
-        self._log.append((activity_id, int(event_type), data))
+        self._log.append((activity_id, event_type, data))
 
     def log_entries(self) -> list[tuple[int, int, int]]:
         return list(self._log)
@@ -249,14 +265,14 @@ def record_interaction(activity: "Activity", event_type: int, data: int,
     else:
         return
     if entity is not None:
-        entity.note(activity.id, event_type, data)
+        entity._log.append((activity.id, event_type, data))
 
 
 def increment_version(entity: VersionedEntity) -> int:
     """Bump the entity version in recording and replay; untouched when passive.
 
     Returns the post-increment value (current value when passive). Wakes
-    all waiters blocked on the entity and counts as global progress.
+    the threads parked on the entity, if any, and counts as global progress.
     """
     ex = entity.execution
     if ex.mode is PASSIVE:
@@ -264,7 +280,9 @@ def increment_version(entity: VersionedEntity) -> int:
     with entity._lock:
         entity.version += 1
         version = entity.version
-        entity._monitor.notify_all()
+        monitor = entity._monitor
+        if monitor.parked:
+            monitor.notify_all()
     ex.progress += 1
     return version
 
@@ -295,7 +313,7 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
             watchdog_wait(entity._monitor,
                           lambda: entity.version == version and ready(), ex)
         queue.advance()
-        entity.note(activity.id, ev.event_type, version)
+        entity._log.append((activity.id, ev.event_type, version))
     ex.progress += 1
     return ev
 

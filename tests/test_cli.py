@@ -137,3 +137,30 @@ def test_unknown_benchmark(capsys):
     code, _, err = _run(capsys, "run", "no-such-benchmark")
     assert code == EXIT_FORMAT
     assert "unknown benchmark" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "philosophers-stm", "--mode", "replay"], "replay needs a trace path"),
+    (["run", "philosophers-stm", "--mode", "record"],
+     "recording to a file needs a trace path"),
+    (["run", "philosophers-stm", "--params", "rounds=x"],
+     "parameter rounds expects an integer, got 'x'"),
+    (["run", "philosophers-stm", "--params", "rounds"], "expects key=value"),
+])
+def test_usage_errors_print_one_line(argv, message, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_FORMAT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "philosophers-stm", "--mode", "replay", "--trace"], ["dump"], ["stats"],
+])
+def test_missing_trace_file_prints_one_line(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing.trc")
+    code, out, err = _run(capsys, *command, missing)
+    assert code == EXIT_FORMAT
+    assert out == ""
+    assert err.count("\n") == 1 and "No such file" in err and missing in err

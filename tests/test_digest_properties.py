@@ -1,0 +1,47 @@
+"""Property test of the run digest's bytes.
+
+``Execution.compute_digest`` formats each entity's log in one call. It
+must hash exactly the bytes of the reference below, one f-string per log
+entry, so that every digest stays comparable across versions.
+"""
+
+import hashlib
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cmrr import Channel, EventType, Execution, ExecutionMode, VersionedEntity
+
+_U64 = st.integers(0, 2**64 - 1)
+# Recorded events log an EventType member, replayed ones the decoded int.
+_TYPES = list(EventType) + [int(t) for t in EventType]
+entries = st.tuples(_U64, st.sampled_from(_TYPES), _U64)
+# One entity per item: whether it is a channel, and its log.
+entity_logs = st.lists(st.tuples(st.booleans(), st.lists(entries, max_size=12)),
+                       max_size=6)
+
+
+def _reference_digest(ex, outputs):
+    h = hashlib.sha256()
+    h.update(json.dumps(outputs, sort_keys=True, default=repr).encode())
+    for entity in sorted(ex.entities, key=lambda e: e.entity_id):
+        h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
+        for activity_id, event_type, data in entity.digest_lines():
+            h.update(f"|{activity_id},{int(event_type)},{data}".encode())
+    return h.hexdigest()
+
+
+@settings(max_examples=150, deadline=None)
+@given(entity_logs, st.lists(_U64, max_size=3))
+def test_digest_bytes_match_the_per_entry_reference(logs, outputs):
+    def program():
+        for is_channel, log in logs:
+            entity = Channel() if is_channel else VersionedEntity()
+            for activity_id, event_type, data in log:
+                entity.note(activity_id, event_type, data)
+        return outputs
+
+    ex = Execution(ExecutionMode.PASSIVE)
+    result = ex.run(program)
+    assert result.digest == _reference_digest(ex, outputs)

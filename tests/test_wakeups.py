@@ -1,0 +1,159 @@
+"""Entity monitors skip a wake-up when nobody is parked, and never lose one.
+
+Every wake-up on an entity monitor is guarded by the monitor's ``parked``
+count. These tests check both halves of that rule: an uncontended
+operation makes no ``notify_all`` call at all, and a thread parked in
+``watchdog_wait`` is still woken at once, not by its next wait tick, by
+each kind of operation that can unblock it.
+"""
+
+import threading
+import time
+
+import pytest
+
+from cmrr import (
+    Channel,
+    EventType,
+    Execution,
+    ExecutionMode,
+    Promise,
+    RRLock,
+    TraceEvent,
+    VersionedEntity,
+    bench,
+    encode_event,
+    increment_version,
+    parse_trace,
+    spawn_process,
+    spawn_thread,
+)
+from cmrr.activities import ThreadActivity
+from cmrr.errors import ReplayDeadlock
+from cmrr.tracefile import write_trace
+from cmrr.tracing import watchdog_wait
+
+
+def test_uncontended_operations_make_no_notify_calls(monkeypatch):
+    original = threading.Condition.notify_all
+    notified = []
+
+    def counting_notify_all(self):
+        notified.append(self)
+        return original(self)
+
+    monkeypatch.setattr(threading.Condition, "notify_all", counting_notify_all)
+
+    def program():
+        lock, entity = RRLock(), VersionedEntity()
+        lock.acquire()
+        lock.release()
+        increment_version(entity)
+        return [lock._monitor, entity._monitor]
+
+    monitors = Execution(ExecutionMode.RECORD, sink="discard").run(program).outputs
+    assert [m for m in notified if any(m is mon for mon in monitors)] == []
+
+
+def _wake_seconds(mode, make, park, wake):
+    """Seconds from ``wake(entity)`` until a thread parked by ``park(entity)``
+    has returned; ``make`` builds the entity in the main activity."""
+    def program():
+        entity = make()
+        child = spawn_thread(park, entity)
+        deadline = time.monotonic() + 5
+        while not entity._monitor.parked:
+            assert time.monotonic() < deadline, "the thread never parked"
+            time.sleep(0.001)
+        start = time.monotonic()
+        wake(entity)
+        child.join()
+        return time.monotonic() - start
+
+    return Execution(mode, sink="discard").run(program).outputs
+
+
+def _park_until(entity, predicate):
+    with entity._lock:
+        watchdog_wait(entity._monitor, predicate, entity.execution)
+
+
+def _held_lock():
+    lock = RRLock()
+    lock.acquire()
+    return lock
+
+
+def _acquire_release(lock):
+    lock.acquire()
+    lock.release()
+
+
+WAKERS = {
+    "increment_version": (
+        ExecutionMode.RECORD, VersionedEntity,
+        lambda e: _park_until(e, lambda: e.version == 1), increment_version),
+    "lock_release": (
+        ExecutionMode.PASSIVE, _held_lock, _acquire_release, RRLock.release),
+    "channel_rendezvous": (
+        ExecutionMode.PASSIVE, Channel, Channel.read, lambda ch: ch.write("m")),
+    "promise_resolve": (
+        ExecutionMode.PASSIVE, Promise,
+        lambda p: _park_until(p, lambda: p.resolved), lambda p: p.resolve(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WAKERS))
+def test_parked_thread_is_woken_before_its_wait_tick(name, monkeypatch):
+    # With a 5 s tick, only the operation's own wake-up can end the wait
+    # within a second.
+    monkeypatch.setattr("cmrr.tracing.WAIT_TICK", 5.0)
+    assert _wake_seconds(*WAKERS[name]) < 1.0
+
+
+def _assert_nobody_parked(ex):
+    for act in ex.activities.values():
+        if isinstance(act, ThreadActivity):
+            act._thread.join(5)
+            assert not act._thread.is_alive()
+    assert [e.entity_id for e in ex.entities if e._monitor.parked] == []
+
+
+@pytest.mark.parametrize("name,params", [
+    ("philosophers-locks", {"rounds": 20}),
+    ("philosophers-csp", {"rounds": 20}),
+    ("philosophers-stm", {"rounds": 20}),
+    ("sales-pipeline", {"records": 20}),
+])
+def test_no_monitor_stays_parked_after_a_run(name, params, tmp_path):
+    path = str(tmp_path / "run.trc")
+    func = bench.REGISTRY[name].func
+    for mode in (ExecutionMode.RECORD, ExecutionMode.REPLAY):
+        ex = Execution(mode, trace_path=path, watchdog_seconds=10.0)
+        ex.run(func, params)
+        _assert_nobody_parked(ex)
+
+
+def test_no_monitor_stays_parked_after_a_replay_deadlock(tmp_path):
+    def program():
+        ch = Channel()
+        reader = spawn_process(lambda: ch.read())
+        ch.write("m")
+        reader.join()
+        return reader.id
+
+    path = str(tmp_path / "channel.trc")
+    reader_id = Execution(ExecutionMode.RECORD, trace_path=path).run(program).outputs
+    # Bump the reader's rendezvous version: writer and reader both park.
+    chunks = []
+    for activity_id, queue in parse_trace(path).queues.items():
+        events = list(queue.events)
+        if activity_id == reader_id:
+            events = [TraceEvent(EventType.CHANNEL_READ, 1)]
+        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
+    write_trace(path, 0, chunks)
+
+    ex = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=1.0)
+    with pytest.raises(ReplayDeadlock):
+        ex.run(program)
+    _assert_nobody_parked(ex)
