@@ -14,8 +14,8 @@ import time
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .errors import ExecutionAborted, NotAnActivity
-from .tracing import WAIT_TICK, DeadlockSentry, RecordBuffer, ReplayQueue
+from .errors import ExecutionAborted, NotAnActivity, UsageError
+from .tracing import RecordBuffer, ReplayQueue, watchdog_wait
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Execution
@@ -138,32 +138,38 @@ class ThreadActivity(Activity):
         self._entry = entry
         self._args = args
         self._thread = threading.Thread(target=self._bootstrap, name=self.name, daemon=True)
+        self.done = False
 
     def start(self) -> None:
         self._thread.start()
 
     def _bootstrap(self) -> None:
         set_current_activity(self)
+        ex = self.execution
         try:
             self._entry(*self._args)
         except ExecutionAborted:
             pass
         except BaseException as exc:  # noqa: BLE001 - first failure aborts the run
-            self.execution.abort(exc)
+            ex.abort(exc)
         finally:
             self.finish_tracing()
             set_current_activity(None)
-            self.execution.progress += 1
+            ex.progress += 1
+            # Last act: once the count is down, the run may end.
+            with ex.live_lock:
+                self.done = True
+                ex.live -= 1
+                if ex.live_monitor.parked:
+                    ex.live_monitor.notify_all()
 
     def join(self) -> None:
         """Wait for the activity to finish; abort- and watchdog-aware."""
         if getattr(_tls, "current", None) is self:
-            raise RuntimeError("activity cannot join itself")
-        sentry = DeadlockSentry(self.execution)
-        self._thread.join(WAIT_TICK)
-        while self._thread.is_alive():
-            sentry.poll()
-            self._thread.join(WAIT_TICK)
+            raise UsageError("activity cannot join itself")
+        ex = self.execution
+        with ex.live_lock:
+            watchdog_wait(ex.live_monitor, lambda: self.done, ex)
 
 
 _tls = threading.local()

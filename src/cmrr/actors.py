@@ -168,7 +168,8 @@ class ActorActivity(Activity):
                     increment_version(self.mailbox_entity)
             msg.version = key
             self._mail[key] = msg
-            ex.actor_pool.note_enqueued()
+            with ex.live_lock:
+                ex.live += 1
             self._schedule_if_needed()
 
     # -- scheduling ---------------------------------------------------------
@@ -288,8 +289,6 @@ class ActorPool:
         self._ready: "deque[ActorActivity]" = deque()
         self._ready_cond = threading.Condition()
         self._workers: list[threading.Thread] = []
-        self._work_cond = threading.Condition()
-        self._unprocessed = 0
         self._shutdown = False
         self._started = False
         self._start_lock = threading.Lock()
@@ -320,24 +319,14 @@ class ActorPool:
                 actor = self._ready.popleft()
             actor.run_slice()
 
-    def note_enqueued(self) -> None:
-        with self._work_cond:
-            self._unprocessed += 1
-
     def note_processed(self) -> None:
-        with self._work_cond:
-            self._unprocessed -= 1
-            if self._unprocessed == 0:
-                self._work_cond.notify_all()
-        self.execution.progress += 1
-
-    def wait_quiescent(self) -> None:
-        """Block until no message is pending or being processed."""
-        if not self._started:
-            return
-        with self._work_cond:
-            watchdog_wait(self._work_cond, lambda: self._unprocessed == 0,
-                          self.execution)
+        """Count one message as handled; wakes the run's end at zero."""
+        ex = self.execution
+        with ex.live_lock:
+            ex.live -= 1
+            if not ex.live and ex.live_monitor.parked:
+                ex.live_monitor.notify_all()
+        ex.progress += 1
 
     def shutdown(self) -> None:
         if not self._started:

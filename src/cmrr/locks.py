@@ -41,7 +41,6 @@ from .tracing import (
     PASSIVE,
     REPLAY,
     WAIT_TICK,
-    DeadlockSentry,
     VersionedEntity,
     gate_interaction,
     increment_version,
@@ -228,14 +227,13 @@ class RRCondition:
                 # timed-out reacquirer, atomically because signals move
                 # waiters only under this monitor.
                 deadline = time.monotonic() + timeout
-                sentry = DeadlockSentry(ex)
                 while not waiter.signaled:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         self._wait_queue.remove(waiter)
                         lock._implicit_queue.append(waiter)
                         break
-                    sentry.poll()
+                    ex.check_abort()
                     lock._monitor.wait(min(WAIT_TICK, remaining))
             lock._reacquire_implicit(act, waiter, depth)
             signaled = waiter.signaled

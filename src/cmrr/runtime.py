@@ -46,10 +46,12 @@ from .tracing import (
     DEFAULT_FLUSH_THRESHOLD,
     DEFAULT_WATCHDOG_SECONDS,
     ExecutionMode,
+    Monitor,
     RecordBuffer,
     ReplayQueue,
     VersionedEntity,
     record_interaction,
+    watchdog_wait,
 )
 
 
@@ -96,6 +98,8 @@ class Execution:
         perturb: Optional[PerturbationPlan] = None,
         flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
     ):
+        if pool_size is not None and pool_size < 1:
+            raise UsageError(f"actor pool size must be at least 1, got {pool_size}")
         self.mode = ExecutionMode(mode) if isinstance(mode, str) else mode
         if isinstance(strategy, str):
             key = strategy.upper().replace("-", "_")
@@ -111,6 +115,12 @@ class Execution:
         # heuristic clock, and a racy lost increment at worst delays one
         # deadline reset by a tick.
         self.progress = 0
+        # Live thread activities plus pending or running actor messages,
+        # each counted before it can start by work that is itself counted:
+        # once main has returned, 0 means nothing can run again.
+        self.live = 0
+        self.live_lock = threading.Lock()
+        self.live_monitor = Monitor(self.live_lock)
         self._abort_lock = threading.Lock()
         self._abort_exc: Optional[BaseException] = None
         self._activities_lock = threading.Lock()
@@ -210,6 +220,8 @@ class Execution:
             self.actor_pool.start()
         else:
             child = ThreadActivity(self, child_id, kind, entry, args, code, length, name)
+            with self.live_lock:
+                self.live += 1
             child.start()
         return child
 
@@ -218,9 +230,10 @@ class Execution:
     def run(self, entry: Callable, *args) -> RunResult:
         """Execute ``entry`` as the main activity (id 0) and finalize.
 
-        Joins all thread/process activities, waits for actor quiescence,
-        flushes and closes the trace, verifies full trace consumption in
-        replay, and returns outputs plus the behavior digest.
+        Then waits in one ``watchdog_wait`` until no thread activity, joined
+        or not, is alive and no actor message is pending or running; flushes
+        and closes the trace, verifies full trace consumption in replay, and
+        returns outputs plus the behavior digest.
         """
         if self._ran:
             raise UsageError("an Execution object runs exactly once")
@@ -238,22 +251,8 @@ class Execution:
             set_current_activity(None)
 
         try:
-            # Actors may spawn threads and threads may message actors, so
-            # alternate joining and quiescence until nothing new appears.
-            # The run ends when a quiescence wait turns up no new thread.
-            joined: set[int] = set()
-            quiesced = False
-            while True:
-                pending = [act for act in list(self.activities.values())
-                           if isinstance(act, ThreadActivity) and act.id not in joined]
-                if quiesced and not pending:
-                    break
-                for act in pending:
-                    act.join()
-                    joined.add(act.id)
-                quiesced = not pending
-                if quiesced:
-                    self.actor_pool.wait_quiescent()
+            with self.live_lock:
+                watchdog_wait(self.live_monitor, lambda: not self.live, self)
         except ExecutionAborted:
             pass
         except BaseException as exc:  # noqa: BLE001

@@ -22,8 +22,11 @@ it waits for readiness and records the entity's current version.
 Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
 ``record_interaction``, so every divergence is reported in one format.
 
-A global no-progress watchdog turns blocked-forever replays (corrupted
-trace, nondeterminism leak) into ``ReplayDeadlock`` instead of hangs.
+Every blocked activity parks in ``watchdog_wait``: a model operation
+waiting for its entity, a join waiting for a thread, and the end of a run
+waiting for the last thread and actor message. Its no-progress watchdog
+turns blocked-forever replays (corrupted trace, nondeterminism leak) into
+``ReplayDeadlock`` instead of hangs.
 """
 
 from __future__ import annotations
@@ -337,54 +340,33 @@ def gate_interaction(activity: "Activity", entity: VersionedEntity,
     record_interaction(activity, event_type, entity.version, entity=entity)
 
 
-class DeadlockSentry:
-    """Per-wait-site watchdog bookkeeping.
-
-    ``poll()`` is called between wait ticks; it re-raises the execution's
-    abort error, and in replay mode raises ``ReplayDeadlock`` once the
-    execution's progress count has stood still for the watchdog interval.
-    """
-
-    __slots__ = ("_execution", "_deadline", "_last_progress")
-
-    def __init__(self, execution):
-        self._execution = execution
-        self._deadline = None
-        self._last_progress = execution.progress
-
-    def poll(self) -> None:
-        ex = self._execution
-        ex.check_abort()
-        if ex.mode is not REPLAY:
-            return
-        now = time.monotonic()
-        progress = ex.progress
-        if progress != self._last_progress:
-            self._last_progress = progress
-            self._deadline = None
-        if self._deadline is None:
-            self._deadline = now + ex.watchdog_seconds
-        elif now >= self._deadline:
-            err = ReplayDeadlock(
-                f"no progress for {ex.watchdog_seconds:.1f}s while "
-                f"blocked in replay; trace and program have diverged"
-            )
-            ex.abort(err)
-            raise err
-
-
 def watchdog_wait(cond: threading.Condition, predicate: Callable[[], bool],
                   execution) -> None:
-    """Wait on ``cond`` until ``predicate()`` holds.
+    """Wait on ``cond`` until ``predicate()`` holds; the one place where
+    cmrr parks a blocked activity.
 
-    The condition's lock must be held. Abort- and deadlock-aware via
-    ``DeadlockSentry``.
+    The condition's lock must be held. Between wait ticks the wait
+    re-raises the execution's abort error, and in replay mode it raises
+    ``ReplayDeadlock`` once the execution's progress count has stood still
+    for the watchdog interval.
     """
     if predicate():
         return
-    sentry = DeadlockSentry(execution)
+    progress = execution.progress
+    deadline = time.monotonic() + execution.watchdog_seconds
     while True:
-        sentry.poll()
+        execution.check_abort()
+        if execution.mode is REPLAY:
+            if execution.progress != progress:
+                progress = execution.progress
+                deadline = time.monotonic() + execution.watchdog_seconds
+            elif time.monotonic() >= deadline:
+                err = ReplayDeadlock(
+                    f"no progress for {execution.watchdog_seconds:.1f}s while "
+                    f"blocked in replay; trace and program have diverged"
+                )
+                execution.abort(err)
+                raise err
         cond.wait(WAIT_TICK)
         if predicate():
             return

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from cmrr import EventType
+from cmrr import EventType, bench, current_activity, spawn_thread
+from cmrr.bench import BenchmarkSpec
 from cmrr.cli import EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_OK, main
 from cmrr.tracefile import write_chunk, write_header
 
@@ -146,6 +147,10 @@ def test_unknown_benchmark(capsys):
     (["run", "philosophers-stm", "--params", "rounds=x"],
      "parameter rounds expects an integer, got 'x'"),
     (["run", "philosophers-stm", "--params", "rounds"], "expects key=value"),
+    (["run", "counting-actors", "--pool", "-1", "--params", "count=10"],
+     "actor pool size must be at least 1, got -1"),
+    (["run", "counting-actors", "--pool", "0", "--params", "count=10"],
+     "actor pool size must be at least 1, got 0"),
 ])
 def test_usage_errors_print_one_line(argv, message, capsys):
     code, out, err = _run(capsys, *argv)
@@ -164,3 +169,15 @@ def test_missing_trace_file_prints_one_line(command, tmp_path, capsys):
     assert code == EXIT_FORMAT
     assert out == ""
     assert err.count("\n") == 1 and "No such file" in err and missing in err
+
+
+def test_self_join_is_a_usage_error(monkeypatch, capsys):
+    def self_join(params):
+        spawn_thread(lambda: current_activity().join()).join()
+
+    monkeypatch.setitem(bench.REGISTRY, "self-join",
+                        BenchmarkSpec("self-join", self_join, ("threads",)))
+    code, out, err = _run(capsys, "run", "self-join")
+    assert code == EXIT_FORMAT
+    assert out == ""
+    assert err == "usage error: activity cannot join itself\n"

@@ -11,9 +11,10 @@ import random
 import pytest
 
 from cmrr import Channel, TxRef, atomic, send, spawn_actor, spawn_process, spawn_thread
+from cmrr.activities import ThreadActivity
 from cmrr.bench.support import CompletionLatch
 from cmrr.locks import RRLock
-from conftest import record_run, replay_run
+from conftest import passive_run, record_run, replay_run
 
 _WORKERS = 3
 _OPS = 10
@@ -82,3 +83,58 @@ def test_cross_model_program_replays_deterministically(tmp_path, seed):
         ex2, replayed = replay_run(_chaos, path, seed, seed=replay_seed, pool_size=2)
         assert replayed.outputs == recorded.outputs
         assert replayed.digest == recorded.digest
+
+
+_UNJOINED_MESSAGES = 3
+
+
+def _unjoined(_):
+    """Main returns at once; all the work runs after it, unjoined. Each
+    message to ``first`` spawns a thread that sends to ``second``, whose
+    handler spawns a channel writer and a channel reader process; each
+    reader reports what it read to ``collector``. The logs fill in after
+    main returned, and only actors, in their recorded mailbox order, write
+    them."""
+    ch = Channel()
+    logs = {"first": [], "second": [], "collected": []}
+    collector = spawn_actor(logs["collected"].append, name="collector")
+
+    def second_handler(msg):
+        logs["second"].append(msg)
+        spawn_process(ch.write, msg)
+        spawn_process(lambda: send(collector, ch.read()))
+
+    second = spawn_actor(second_handler, name="second")
+
+    def first_handler(msg):
+        logs["first"].append(msg)
+        spawn_thread(send, second, msg)
+
+    first = spawn_actor(first_handler, name="first")
+    for n in range(_UNJOINED_MESSAGES):
+        send(first, n)
+    return logs
+
+
+def _assert_all_work_done(ex, result):
+    expected = list(range(_UNJOINED_MESSAGES))
+    assert {name: sorted(log) for name, log in result.outputs.items()} == {
+        "first": expected, "second": expected, "collected": expected}
+    threads = [act for act in ex.activities.values() if isinstance(act, ThreadActivity)]
+    assert len(threads) == 3 * _UNJOINED_MESSAGES
+    assert all(act.done for act in threads)
+    assert ex.live == 0
+
+
+@pytest.mark.parametrize("strategy", ["sender", "receiver"])
+def test_unjoined_cross_model_work_finishes_before_run_returns(tmp_path, strategy):
+    ex, result = passive_run(_unjoined, None, strategy=strategy)
+    _assert_all_work_done(ex, result)
+    path = str(tmp_path / f"unjoined-{strategy}.trc")
+    ex, recorded = record_run(_unjoined, path, None, strategy=strategy)
+    _assert_all_work_done(ex, recorded)
+    ex, replayed = replay_run(_unjoined, path, None)
+    _assert_all_work_done(ex, replayed)
+    assert replayed.outputs == recorded.outputs
+    assert replayed.actor_logs == recorded.actor_logs
+    assert replayed.digest == recorded.digest

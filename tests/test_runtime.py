@@ -93,6 +93,12 @@ def test_unknown_sink_kind_rejected():
         Execution(ExecutionMode.RECORD, sink="teleport")
 
 
+@pytest.mark.parametrize("pool_size", [0, -1])
+def test_pool_size_below_one_rejected(pool_size):
+    with pytest.raises(UsageError, match="actor pool size must be at least 1"):
+        Execution(ExecutionMode.PASSIVE, pool_size=pool_size)
+
+
 def test_perturbation_sequence_is_seed_deterministic():
     def delays_for(seed):
         ex = Execution(ExecutionMode.PASSIVE, perturb=PerturbationPlan(seed, prob=1.0,

@@ -1,10 +1,11 @@
-"""Entity monitors skip a wake-up when nobody is parked, and never lose one.
+"""Monitors skip a wake-up when nobody is parked, and never lose one.
 
-Every wake-up on an entity monitor is guarded by the monitor's ``parked``
-count. These tests check both halves of that rule: an uncontended
-operation makes no ``notify_all`` call at all, and a thread parked in
-``watchdog_wait`` is still woken at once, not by its next wait tick, by
-each kind of operation that can unblock it.
+Every wake-up on an entity monitor, and on the execution's run-end
+monitor, is guarded by the monitor's ``parked`` count. These tests check
+both halves of that rule: an uncontended operation makes no
+``notify_all`` call at all, and a thread parked in ``watchdog_wait`` is
+still woken at once, not by its next wait tick, by each kind of operation
+that can unblock it, and so are joins and the end of a run.
 """
 
 import threading
@@ -25,6 +26,8 @@ from cmrr import (
     encode_event,
     increment_version,
     parse_trace,
+    send,
+    spawn_actor,
     spawn_process,
     spawn_thread,
 )
@@ -55,16 +58,20 @@ def test_uncontended_operations_make_no_notify_calls(monkeypatch):
     assert [m for m in notified if any(m is mon for mon in monitors)] == []
 
 
+def _wait_until_parked(monitor):
+    deadline = time.monotonic() + 5
+    while not monitor.parked:
+        assert time.monotonic() < deadline, "nobody parked on the monitor"
+        time.sleep(0.001)
+
+
 def _wake_seconds(mode, make, park, wake):
     """Seconds from ``wake(entity)`` until a thread parked by ``park(entity)``
     has returned; ``make`` builds the entity in the main activity."""
     def program():
         entity = make()
         child = spawn_thread(park, entity)
-        deadline = time.monotonic() + 5
-        while not entity._monitor.parked:
-            assert time.monotonic() < deadline, "the thread never parked"
-            time.sleep(0.001)
+        _wait_until_parked(entity._monitor)
         start = time.monotonic()
         wake(entity)
         child.join()
@@ -111,12 +118,45 @@ def test_parked_thread_is_woken_before_its_wait_tick(name, monkeypatch):
     assert _wake_seconds(*WAKERS[name]) < 1.0
 
 
+def _after_run_end_parks(work):
+    """Run ``work(ex, finished)`` as a passive program; the work it spawns
+    ends in ``_finish_when_parked``. Returns the seconds from that end to
+    the return of ``run``."""
+    ex = Execution(ExecutionMode.PASSIVE)
+    finished = []
+    ex.run(lambda: work(ex, finished))
+    return time.monotonic() - finished[0]
+
+
+def _finish_when_parked(ex, finished):
+    _wait_until_parked(ex.live_monitor)
+    finished.append(time.monotonic())
+
+
+RUN_END_WORK = {
+    "join": lambda ex, finished: spawn_thread(_finish_when_parked, ex, finished).join(),
+    "unjoined_thread": lambda ex, finished: spawn_thread(_finish_when_parked, ex, finished),
+    "actor_message": lambda ex, finished: send(
+        spawn_actor(lambda _: _finish_when_parked(ex, finished)), "last"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_END_WORK))
+def test_run_end_and_joins_wake_before_their_wait_tick(name, monkeypatch):
+    # A join, or the run's end, is parked on the run-end monitor when the
+    # last thread or actor message finishes; with a 5 s tick only the
+    # finishing decrement's wake-up can end the wait within a second.
+    monkeypatch.setattr("cmrr.tracing.WAIT_TICK", 5.0)
+    assert _after_run_end_parks(RUN_END_WORK[name]) < 1.0
+
+
 def _assert_nobody_parked(ex):
     for act in ex.activities.values():
         if isinstance(act, ThreadActivity):
             act._thread.join(5)
             assert not act._thread.is_alive()
     assert [e.entity_id for e in ex.entities if e._monitor.parked] == []
+    assert ex.live_monitor.parked == 0
 
 
 @pytest.mark.parametrize("name,params", [
