@@ -45,7 +45,7 @@ from .tracing import (
     RECORD,
     REPLAY,
     VersionedEntity,
-    gate_interaction,
+    delay_interaction,
     increment_version,
     record_interaction,
     watchdog_wait,
@@ -404,7 +404,7 @@ class Promise(VersionedEntity):
         with self._lock:
             if self._stores(acting, traced):
                 if traced:
-                    gate_interaction(acting, self, EventType.PROMISE_MSG_STORE)
+                    delay_interaction(acting, self, EventType.PROMISE_MSG_STORE)
                     increment_version(self)
                 # Untraced (receiver-side or passive), the race needs no
                 # events: the receiving actors' traces pin every delivery.
@@ -433,7 +433,7 @@ class Promise(VersionedEntity):
             if self._resolved:
                 raise AlreadyResolved("promise already resolved")
             if self._traced():
-                gate_interaction(acting, self, EventType.PROMISE_RESOLVE)
+                delay_interaction(acting, self, EventType.PROMISE_RESOLVE)
                 increment_version(self)
             pending = self._take_resolved(value)
         for target, msg in pending:

@@ -21,7 +21,7 @@ from typing import Any
 
 from .activities import current_activity
 from .events import EventType
-from .tracing import VersionedEntity, gate_interaction, increment_version, watchdog_wait
+from .tracing import VersionedEntity, delay_interaction, increment_version, watchdog_wait
 
 
 class Channel(VersionedEntity):
@@ -59,8 +59,8 @@ class Channel(VersionedEntity):
     def write(self, value: Any) -> None:
         """Block until a reader takes ``value``; owns the version increment."""
         with self._lock:
-            gate_interaction(current_activity(), self, EventType.CHANNEL_WRITE,
-                             lambda: not self._writer_active and not self._post_take)
+            delay_interaction(current_activity(), self, EventType.CHANNEL_WRITE,
+                              lambda: not self._writer_active and not self._post_take)
             self._writer_active = True
             self._slot = value
             self._slot_full = True
@@ -77,8 +77,8 @@ class Channel(VersionedEntity):
     def read(self) -> Any:
         """Block until paired with a writer; returns the written value."""
         with self._lock:
-            gate_interaction(current_activity(), self, EventType.CHANNEL_READ,
-                             lambda: self._slot_full and not self._post_take)
+            delay_interaction(current_activity(), self, EventType.CHANNEL_READ,
+                              lambda: self._slot_full and not self._post_take)
             value = self._slot
             self._slot = None
             self._slot_full = False

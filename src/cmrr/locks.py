@@ -42,7 +42,7 @@ from .tracing import (
     REPLAY,
     WAIT_TICK,
     VersionedEntity,
-    gate_interaction,
+    delay_interaction,
     increment_version,
     record_interaction,
     watchdog_wait,
@@ -115,7 +115,7 @@ class RRLock(VersionedEntity):
             # Recording gives signaled waiters strict priority (FIFO),
             # which makes the implicit-vs-explicit race a deterministic
             # function of lock state; replay follows the recorded version.
-            gate_interaction(act, self, event_type, lambda: (
+            delay_interaction(act, self, event_type, lambda: (
                 self._owner is None and (replaying or not self._implicit_queue)))
         finally:
             if gated:

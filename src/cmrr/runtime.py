@@ -100,11 +100,18 @@ class Execution:
     ):
         if pool_size is not None and pool_size < 1:
             raise UsageError(f"actor pool size must be at least 1, got {pool_size}")
-        self.mode = ExecutionMode(mode) if isinstance(mode, str) else mode
+        try:
+            self.mode = ExecutionMode(mode)
+        except ValueError:
+            raise UsageError(
+                f"unknown mode {mode!r}; expected passive, record or replay") from None
         if isinstance(strategy, str):
             key = strategy.upper().replace("-", "_")
             if not key.endswith("_SIDE"):
                 key += "_SIDE"
+            if key not in ActorStrategy.__members__:
+                raise UsageError(
+                    f"unknown actor strategy {strategy!r}; expected sender or receiver")
             strategy = ActorStrategy[key]
         self.watchdog_seconds = watchdog_seconds
         self.flush_threshold = flush_threshold

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, TypeVar
 
-from .activities import current_activity
+from .activities import current_activity, current_activity_or_none
 from .errors import TransactionUsageError
 from .events import EventType
 from .tracing import (
@@ -90,12 +90,8 @@ class TxContext:
 
 
 def _current_tx() -> Optional[TxContext]:
-    from .activities import current_activity_or_none
-
     act = current_activity_or_none()
-    if act is None:
-        return None
-    return getattr(act, "tx_context", None)
+    return None if act is None else act.tx_context
 
 
 def atomic(body: Callable[[], T]) -> T:

@@ -152,15 +152,8 @@ class TraceSink:
 class DiscardSink(TraceSink):
     """Accepts and drops chunks; measures tracing without write-back cost."""
 
-    def __init__(self):
-        self.chunks_discarded = 0
-        self.octets_discarded = 0
-        self._lock = threading.Lock()
-
     def submit(self, activity_id: int, payload: bytes) -> None:
-        with self._lock:
-            self.chunks_discarded += 1
-            self.octets_discarded += len(payload)
+        pass
 
 
 class FileSink(TraceSink):

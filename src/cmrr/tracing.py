@@ -10,14 +10,14 @@ every instrumented operation is built from:
   consumes it, passive does nothing,
 * ``increment_version`` bumps an entity's version counter (recording and
   replay) and wakes anyone parked on that entity,
-* ``delay_interaction`` blocks a replayed operation until the target
-  entity's version matches the version stored in the activity's next
-  trace event (and, optionally, the operation's own readiness predicate
-  holds), then consumes that event.
+* ``delay_interaction`` is the gate, in every mode, of an operation
+  that takes its turn on an entity: in replay it blocks the operation
+  until the entity's version matches the version stored in the
+  activity's next trace event (and, optionally, the operation's own
+  readiness predicate holds), then consumes that event; otherwise it
+  waits for readiness and records the entity's current version.
 
-``gate_interaction`` composes them into the one gate every model's
-operations pass through: in replay it is ``delay_interaction``, otherwise
-it waits for readiness and records the entity's current version.
+Call both with the entity's monitor held; neither enters it itself.
 
 Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
 ``record_interaction``, so every divergence is reported in one format.
@@ -274,70 +274,54 @@ def record_interaction(activity: "Activity", event_type: int, data: int,
 def increment_version(entity: VersionedEntity) -> int:
     """Bump the entity version in recording and replay; untouched when passive.
 
-    Returns the post-increment value (current value when passive). Wakes
-    the threads parked on the entity, if any, and counts as global progress.
+    Call with the entity monitor held. Returns the post-increment value
+    (current value when passive). Wakes the threads parked on the entity,
+    if any, and counts as global progress.
     """
     ex = entity.execution
     if ex.mode is PASSIVE:
         return entity.version
-    with entity._lock:
-        entity.version += 1
-        version = entity.version
-        monitor = entity._monitor
-        if monitor.parked:
-            monitor.notify_all()
+    entity.version += 1
+    monitor = entity._monitor
+    if monitor.parked:
+        monitor.notify_all()
     ex.progress += 1
-    return version
+    return entity.version
 
 
 def delay_interaction(activity: "Activity", entity: VersionedEntity,
                       expected_type: int,
                       ready: Optional[Callable[[], bool]] = None) -> Optional[TraceEvent]:
-    """Hold a replayed operation until it is its recorded turn.
+    """The one gate of an ``expected_type`` interaction on ``entity``:
+    wait until the activity may perform it, and trace it.
 
-    Replay mode: verifies the head of the activity's replay queue has
-    ``expected_type``, blocks until ``entity.version`` equals the version
-    stored in that event and ``ready()`` (when given) holds, then consumes
-    and returns it. ``ready`` is evaluated with the entity monitor held,
-    which the caller may already hold. Other modes: returns ``None``
-    without touching anything.
+    Call with the entity monitor held; ``ready`` is evaluated under it.
+    Replay: verifies the head of the activity's replay queue has
+    ``expected_type``, waits once until ``entity.version`` equals the
+    version stored in that event and ``ready()`` (when given) holds, then
+    consumes, logs and returns it. Record and passive: waits for
+    ``ready()``, records the event at the entity's current version (a
+    no-op when passive) and returns ``None``.
     """
     ex = activity.execution
     if ex.mode is not REPLAY:
+        if ready is not None:
+            watchdog_wait(entity._monitor, ready, ex)
+        record_interaction(activity, expected_type, entity.version, entity=entity)
         return None
     activity.perturb_point()
     queue = activity.replay_queue
     ev = queue.expect(expected_type)
     version = ev.data
-    with entity._lock:
-        if ready is None:
-            watchdog_wait(entity._monitor, lambda: entity.version == version, ex)
-        else:
-            watchdog_wait(entity._monitor,
-                          lambda: entity.version == version and ready(), ex)
-        queue.advance()
-        entity._log.append((activity.id, ev.event_type, version))
+    if ready is None:
+        watchdog_wait(entity._monitor, lambda: entity.version == version, ex)
+    else:
+        watchdog_wait(entity._monitor,
+                      lambda: entity.version == version and ready(), ex)
+    queue.advance()
+    entity._log.append((activity.id, ev.event_type, version))
     ex.progress += 1
     return ev
-
-
-def gate_interaction(activity: "Activity", entity: VersionedEntity,
-                     event_type: int,
-                     ready: Optional[Callable[[], bool]] = None) -> None:
-    """Wait until the activity may perform one ``event_type`` interaction
-    on ``entity``, and trace it.
-
-    Call with the entity monitor held. Replay: ``delay_interaction`` with
-    ``ready``, a single wait for the recorded version and readiness
-    together. Record and passive: wait for ``ready()``, then record the
-    event at the entity's current version (a no-op when passive).
-    """
-    if activity.execution.mode is REPLAY:
-        delay_interaction(activity, entity, event_type, ready)
-        return
-    if ready is not None:
-        watchdog_wait(entity._monitor, ready, activity.execution)
-    record_interaction(activity, event_type, entity.version, entity=entity)
 
 
 def watchdog_wait(cond: threading.Condition, predicate: Callable[[], bool],

@@ -37,10 +37,9 @@ def passive_run(program, *args, **kwargs):
 
 def count_watchdog_waits(monkeypatch) -> list:
     """Count ``watchdog_wait`` calls: returns a list that gains one entry
-    per call. The function is imported by name into several modules, so
-    every binding in a loaded cmrr module is patched. Waits on the
-    execution's run-end monitor (joins and the run's end) are not counted:
-    they wait for threads and actor messages, not for a model operation."""
+    per call, at every binding of the function. Waits on the execution's
+    run-end monitor (joins and the run's end) are not counted: they wait
+    for threads and actor messages, not for a model operation."""
     from cmrr import tracing
 
     original = tracing.watchdog_wait
@@ -51,9 +50,15 @@ def count_watchdog_waits(monkeypatch) -> list:
             calls.append(1)
         return original(cond, predicate, execution)
 
+    patch_bindings(monkeypatch, original, counting_wait)
+    return calls
+
+
+def patch_bindings(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` at every binding in a loaded cmrr module, since
+    the substrate functions are imported by name into several modules."""
     for name, module in list(sys.modules.items()):
         if name == "cmrr" or name.startswith("cmrr."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counting_wait)
-    return calls
+                    monkeypatch.setattr(module, attr, replacement)

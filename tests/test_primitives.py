@@ -4,6 +4,7 @@ import threading
 import time
 
 import pytest
+from conftest import patch_bindings
 
 from cmrr import (
     Channel,
@@ -13,6 +14,7 @@ from cmrr import (
     MemorySink,
     TraceEvent,
     VersionedEntity,
+    bench,
     current_activity,
     decode_event,
     delay_interaction,
@@ -163,10 +165,12 @@ def test_delay_interaction_unblocks_on_cross_activity_increment(tmp_path):
         def incrementer():
             time.sleep(0.05)
             timeline.append("increment")
-            increment_version(entity)
+            with entity._lock:
+                increment_version(entity)
 
         child = spawn_thread(incrementer)
-        event = delay_interaction(current_activity(), entity, EventType.LOCK)
+        with entity._lock:
+            event = delay_interaction(current_activity(), entity, EventType.LOCK)
         timeline.append("unblocked")
         child.join()
         assert event.data == 1
@@ -191,7 +195,8 @@ def test_delay_interaction_waits_for_version_and_ready(tmp_path):
         def helper():
             time.sleep(0.05)
             timeline.append("increment")
-            increment_version(entity)
+            with entity._lock:
+                increment_version(entity)
             time.sleep(0.05)
             with entity._monitor:
                 timeline.append("ready")
@@ -199,7 +204,6 @@ def test_delay_interaction_waits_for_version_and_ready(tmp_path):
                 entity._monitor.notify_all()
 
         child = spawn_thread(helper)
-        # The caller may already hold the entity monitor.
         with entity._monitor:
             event = delay_interaction(current_activity(), entity, EventType.LOCK,
                                       lambda: state["ready"])
@@ -222,21 +226,32 @@ def test_delay_interaction_type_mismatch(tmp_path):
         ex.run(program)
 
 
-def test_delay_interaction_is_noop_sentinel_outside_replay():
-    ex = _record_ex()
+def test_delay_interaction_records_current_version_outside_replay():
+    """Outside replay the gate records the entity's current version (a
+    no-op when passive), returns None and leaves the version alone."""
 
     def program():
+        act = current_activity()
         entity = VersionedEntity()
-        assert delay_interaction(current_activity(), entity, EventType.LOCK) is None
+        entity.version = 2
+        with entity._lock:
+            assert delay_interaction(act, entity, EventType.LOCK) is None
+        buffered = act.buffer.snapshot() if act.buffer is not None else None
+        return buffered, entity.log_entries(), entity.version
 
-    ex.run(program)
+    recorded = _record_ex().run(program).outputs
+    assert recorded == (encode_event(TraceEvent(EventType.LOCK, 2)),
+                        [(0, EventType.LOCK, 2)], 2)
+    assert Execution(ExecutionMode.PASSIVE).run(program).outputs == (None, [], 2)
 
 
 def test_watchdog_raises_replay_deadlock(tmp_path):
     ex = _replay_ex(tmp_path, [TraceEvent(EventType.LOCK, 5)])
 
     def program():
-        delay_interaction(current_activity(), VersionedEntity(), EventType.LOCK)
+        entity = VersionedEntity()
+        with entity._lock:
+            delay_interaction(current_activity(), entity, EventType.LOCK)
 
     start = time.monotonic()
     with pytest.raises(ReplayDeadlock):
@@ -323,3 +338,48 @@ def test_replay_queue_cursor_and_lookahead():
 def test_current_activity_outside_runtime():
     with pytest.raises(NotAnActivity):
         current_activity()
+
+
+# Small parameters for every registered benchmark.
+SMALL_PARAMS = {
+    "philosophers-locks": {"rounds": 20},
+    "philosophers-stm": {"rounds": 20},
+    "philosophers-csp": {"rounds": 20},
+    "pingpong-actors": {"rounds": 40},
+    "counting-actors": {"count": 60},
+    "fj-creation-actors": {"fanout": 3, "depth": 2},
+    "sales-pipeline": {"records": 12, "projects": 2},
+}
+
+
+def test_substrate_is_called_with_the_entity_monitor_held(tmp_path, monkeypatch):
+    """``increment_version`` and ``delay_interaction`` do not enter the
+    entity monitor themselves: every model call site must hold it. A call
+    without it races silently unless someone is parked, so check the lock
+    at each call of every benchmark, recorded and replayed."""
+    from cmrr import tracing
+
+    called, unheld = set(), []
+
+    def held(fn, entity_arg):
+        def checked(*args):
+            entity = args[entity_arg]
+            called.add(fn.__name__)
+            if not entity._lock._is_owned():
+                unheld.append((fn.__name__, entity.kind))
+            return fn(*args)
+        return checked
+
+    patch_bindings(monkeypatch, tracing.increment_version, held(tracing.increment_version, 0))
+    patch_bindings(monkeypatch, tracing.delay_interaction, held(tracing.delay_interaction, 1))
+    assert sorted(SMALL_PARAMS) == sorted(bench.REGISTRY)
+    for name, params in SMALL_PARAMS.items():
+        for strategy in ("sender", "receiver"):
+            path = str(tmp_path / f"{name}-{strategy}.trc")
+            recorded = bench.run_benchmark(name, "record", strategy=strategy,
+                                           trace_path=path, params=params, seed=0)
+            replayed = bench.run_benchmark(name, "replay", trace_path=path,
+                                           params=params, watchdog_seconds=5)
+            assert replayed.digest == recorded.digest, (name, strategy)
+    assert unheld == []
+    assert called == {"increment_version", "delay_interaction"}

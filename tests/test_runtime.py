@@ -93,6 +93,18 @@ def test_unknown_sink_kind_rejected():
         Execution(ExecutionMode.RECORD, sink="teleport")
 
 
+def test_unknown_mode_rejected():
+    with pytest.raises(UsageError,
+                       match="unknown mode 'bogus'; expected passive, record or replay"):
+        Execution("bogus")
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(UsageError,
+                       match="unknown actor strategy 'bogus'; expected sender or receiver"):
+        Execution("record", strategy="bogus")
+
+
 @pytest.mark.parametrize("pool_size", [0, -1])
 def test_pool_size_below_one_rejected(pool_size):
     with pytest.raises(UsageError, match="actor pool size must be at least 1"):

@@ -85,6 +85,11 @@ def _park_until(entity, predicate):
         watchdog_wait(entity._monitor, predicate, entity.execution)
 
 
+def _increment_in_monitor(entity):
+    with entity._lock:
+        increment_version(entity)
+
+
 def _held_lock():
     lock = RRLock()
     lock.acquire()
@@ -99,7 +104,7 @@ def _acquire_release(lock):
 WAKERS = {
     "increment_version": (
         ExecutionMode.RECORD, VersionedEntity,
-        lambda e: _park_until(e, lambda: e.version == 1), increment_version),
+        lambda e: _park_until(e, lambda: e.version == 1), _increment_in_monitor),
     "lock_release": (
         ExecutionMode.PASSIVE, _held_lock, _acquire_release, RRLock.release),
     "channel_rendezvous": (
