@@ -8,9 +8,7 @@ activity that recorded it.
 
 from __future__ import annotations
 
-import random
 import threading
-import time
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -88,9 +86,6 @@ class Activity:
         self.tx_context = None
         self.buffer: Optional[RecordBuffer] = None
         self.replay_queue: Optional[ReplayQueue] = None
-        self._perturb_rng: Optional[random.Random] = None
-        self._perturb_prob = 0.0
-        self._perturb_max_delay = 0.0
         execution.attach_activity(self)
 
     def __repr__(self):
@@ -111,18 +106,10 @@ class Activity:
         self.spawn_counter += 1
         return child
 
-    def configure_perturbation(self, seed: int, prob: float, max_delay: float) -> None:
-        # Mix the activity id into the seed so each activity gets its own
-        # reproducible delay sequence.
-        self._perturb_rng = random.Random((seed * 0x9E3779B97F4A7C15 + self.id) & (2**64 - 1))
-        self._perturb_prob = prob
-        self._perturb_max_delay = max_delay
-
     def perturb_point(self) -> None:
-        """Scheduling-perturbation injection site (record/delay call sites)."""
-        rng = self._perturb_rng
-        if rng is not None and rng.random() < self._perturb_prob:
-            time.sleep(rng.random() * self._perturb_max_delay)
+        """Scheduling-perturbation site, reached at each traced interaction
+        and each actor send. Does nothing; under a ``PerturbationPlan`` the
+        execution shadows it per activity with ``PerturbationPlan.point_for``."""
 
     def finish_tracing(self) -> None:
         if self.buffer is not None:
@@ -153,7 +140,10 @@ class ThreadActivity(Activity):
         except BaseException as exc:  # noqa: BLE001 - first failure aborts the run
             ex.abort(exc)
         finally:
-            self.finish_tracing()
+            try:
+                self.finish_tracing()
+            except Exception as exc:  # noqa: BLE001 - a failing sink aborts the run
+                ex.abort(exc)
             set_current_activity(None)
             ex.progress += 1
             # Last act: once the count is down, the run may end.

@@ -75,10 +75,6 @@ class Message:
         self.promise_message_id = promise_message_id
         self.version = 0
 
-    @property
-    def is_promise_message(self) -> bool:
-        return self.promise_message_id is not None
-
 
 class _CallbackInvocation:
     """Internal payload that runs a promise callback on the registrant's loop."""
@@ -228,7 +224,7 @@ class ActorActivity(Activity):
             elif traced:
                 # Receiver-side: trace who sent it; replay checks and
                 # consumes the events the key was read from.
-                if msg.is_promise_message:
+                if msg.promise_message_id is not None:
                     record_interaction(self, EventType.PROMMSG_RCVD,
                                        msg.promise_message_id, entity=mailbox)
                 elif by_sender:

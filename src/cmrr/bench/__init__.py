@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..errors import UsageError
 from ..runtime import Execution, PerturbationPlan, RunResult
 from ..tracefile import ActorStrategy
 from ..tracing import DEFAULT_WATCHDOG_SECONDS, ExecutionMode
@@ -79,11 +80,19 @@ def run_benchmark(
     watchdog_seconds: float = DEFAULT_WATCHDOG_SECONDS,
     pool_size: Optional[int] = None,
 ) -> RunResult:
-    """Run one registered benchmark under the given execution mode."""
-    spec = REGISTRY[name]
+    """Run one registered benchmark under the given execution mode.
+
+    An unknown benchmark name or parameter key raises ``UsageError``.
+    """
+    spec = REGISTRY.get(name)
+    if spec is None:
+        raise UsageError(f"unknown benchmark {name!r}; known: {', '.join(sorted(REGISTRY))}")
     merged = dict(spec.defaults)
-    if params:
-        merged.update(params)
+    for key, value in (params or {}).items():
+        if key not in spec.defaults:
+            raise UsageError(f"benchmark {name} has no parameter {key!r}; "
+                             f"known: {', '.join(spec.defaults)}")
+        merged[key] = value
     perturb = PerturbationPlan(seed) if seed is not None else None
     execution = Execution(
         mode,

@@ -34,15 +34,14 @@ class Channel(VersionedEntity):
         self._slot: Any = None
         self._slot_full = False
         # One rendezvous at a time: the writer is "active" from claiming the
-        # channel until the version increment lands; the post-take window
-        # blocks new claims until then.
+        # channel until the version increment lands, after its value is
+        # taken, so no new claim can start in between.
         self._writer_active = False
-        self._post_take = False
 
     def digest_lines(self):
-        # Within one rendezvous the read and write claims race benignly in
-        # both modes; canonicalize by (version, type) so digests only
-        # depend on the pairing order, which is what replay guarantees.
+        # Each rendezvous logs its write before its read (a read passes
+        # only once the slot is full). Digests have always hashed the read
+        # first, so keep the (version, type) order.
         return sorted(self._log, key=lambda entry: (entry[2], entry[1], entry[0]))
 
     def check_version_completeness(self):
@@ -60,16 +59,15 @@ class Channel(VersionedEntity):
         """Block until a reader takes ``value``; owns the version increment."""
         with self._lock:
             delay_interaction(current_activity(), self, EventType.CHANNEL_WRITE,
-                              lambda: not self._writer_active and not self._post_take)
+                              lambda: not self._writer_active)
             self._writer_active = True
             self._slot = value
             self._slot_full = True
             if self._monitor.parked:
                 self._monitor.notify_all()
             # Rendezvous: wait for the paired take to complete.
-            watchdog_wait(self._monitor, lambda: self._post_take, self.execution)
+            watchdog_wait(self._monitor, lambda: not self._slot_full, self.execution)
             increment_version(self)
-            self._post_take = False
             self._writer_active = False
             if self._monitor.parked:
                 self._monitor.notify_all()
@@ -78,11 +76,10 @@ class Channel(VersionedEntity):
         """Block until paired with a writer; returns the written value."""
         with self._lock:
             delay_interaction(current_activity(), self, EventType.CHANNEL_READ,
-                              lambda: self._slot_full and not self._post_take)
+                              lambda: self._slot_full)
             value = self._slot
             self._slot = None
             self._slot_full = False
-            self._post_take = True
             if self._monitor.parked:
                 self._monitor.notify_all()
             return value

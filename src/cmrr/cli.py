@@ -37,31 +37,17 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_run(args) -> int:
-    if args.benchmark not in bench.REGISTRY:
-        known = ", ".join(sorted(bench.REGISTRY))
-        print(f"unknown benchmark {args.benchmark!r}; known: {known}", file=sys.stderr)
-        return EXIT_FORMAT
-    try:
-        result = bench.run_benchmark(
-            args.benchmark,
-            mode=args.mode,
-            strategy=args.strategy,
-            trace_path=args.trace,
-            sink=args.sink,
-            seed=args.seed,
-            params=_parse_params(args.params),
-            watchdog_seconds=args.watchdog,
-            pool_size=args.pool,
-        )
-    except TraceFormatError as exc:
-        print(f"trace format error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (UsageError, FileNotFoundError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ReplayError as exc:
-        print(f"replay divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    result = bench.run_benchmark(
+        args.benchmark,
+        mode=args.mode,
+        strategy=args.strategy,
+        trace_path=args.trace,
+        sink=args.sink,
+        seed=args.seed,
+        params=_parse_params(args.params),
+        watchdog_seconds=args.watchdog,
+        pool_size=args.pool,
+    )
     print(f"benchmark {args.benchmark}")
     print(f"mode {result.mode.value}")
     print(f"strategy {result.strategy.name.lower()}")
@@ -70,20 +56,8 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _load_trace(path: str):
-    try:
-        return parse_trace(path)
-    except TraceFormatError as exc:
-        print(f"trace format error: {exc}", file=sys.stderr)
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-    return None
-
-
 def _cmd_dump(args) -> int:
-    trace = _load_trace(args.trace)
-    if trace is None:
-        return EXIT_FORMAT
+    trace = parse_trace(args.trace)
     print(f"file {args.trace}")
     print(f"format_version {trace.format_version}")
     print(f"strategy {trace.strategy.name.lower()}")
@@ -96,9 +70,7 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    trace = _load_trace(args.trace)
-    if trace is None:
-        return EXIT_FORMAT
+    trace = parse_trace(args.trace)
     per_activity: dict[int, Counter] = {}
     totals: Counter = Counter()
     for activity_id, queue in trace.queues.items():
@@ -165,7 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TraceFormatError as exc:
+        print(f"trace format error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except (UsageError, FileNotFoundError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except ReplayError as exc:
+        print(f"replay divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

@@ -50,10 +50,9 @@ from .tracing import (
 
 
 class _CondWaiter:
-    __slots__ = ("activity", "signaled")
+    __slots__ = ("signaled",)
 
-    def __init__(self, activity: Activity):
-        self.activity = activity
+    def __init__(self):
         self.signaled = False
 
 
@@ -193,7 +192,7 @@ class RRCondition:
         act = current_activity()
         with lock._lock:
             depth = lock._release_fully(act)
-            waiter = _CondWaiter(act)
+            waiter = _CondWaiter()
             self._wait_queue.append(waiter)
             lock._reacquire_implicit(act, waiter, depth)
             if lock.execution.mode is not PASSIVE:
@@ -219,7 +218,7 @@ class RRCondition:
             if replaying and head.event_type == EventType.AWAIT_TIMEOUT:
                 lock._acquire_gated(act, EventType.AWAIT_TIMEOUT, depth)
                 return False
-            waiter = _CondWaiter(act)
+            waiter = _CondWaiter()
             self._wait_queue.append(waiter)
             if not replaying:
                 # The only wait bounded by wall time. A waiter still

@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import threading
+import time
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Optional
@@ -67,6 +69,19 @@ class PerturbationPlan:
     prob: float = 0.02
     max_delay: float = 0.0005
 
+    def point_for(self, activity_id: int) -> Callable[[], None]:
+        """The perturbation point of one activity: with probability
+        ``prob``, sleep a uniform share of ``max_delay`` seconds. The id is
+        mixed into the seed, so each activity draws its own reproducible
+        sequence."""
+        rng = random.Random((self.seed * 0x9E3779B97F4A7C15 + activity_id) & (2**64 - 1))
+        prob, max_delay = self.prob, self.max_delay
+
+        def perturb_point() -> None:
+            if rng.random() < prob:
+                time.sleep(rng.random() * max_delay)
+        return perturb_point
+
 
 @dataclass
 class RunResult:
@@ -106,13 +121,10 @@ class Execution:
             raise UsageError(
                 f"unknown mode {mode!r}; expected passive, record or replay") from None
         if isinstance(strategy, str):
-            key = strategy.upper().replace("-", "_")
-            if not key.endswith("_SIDE"):
-                key += "_SIDE"
-            if key not in ActorStrategy.__members__:
+            if strategy not in ("sender", "receiver"):
                 raise UsageError(
                     f"unknown actor strategy {strategy!r}; expected sender or receiver")
-            strategy = ActorStrategy[key]
+            strategy = ActorStrategy[f"{strategy.upper()}_SIDE"]
         self.watchdog_seconds = watchdog_seconds
         self.flush_threshold = flush_threshold
         self.trace_path = trace_path
@@ -192,9 +204,7 @@ class Execution:
                 self._queues[activity.id] = queue
             activity.replay_queue = queue
         if self.perturb is not None:
-            activity.configure_perturbation(
-                self.perturb.seed, self.perturb.prob, self.perturb.max_delay
-            )
+            activity.perturb_point = self.perturb.point_for(activity.id)
 
     def abort(self, exc: BaseException) -> None:
         """Remember the first failure and wake everything blocked on it."""

@@ -85,10 +85,6 @@ class TraceFile:
     def strategy(self) -> ActorStrategy:
         return strategy_from_flags(self.strategy_flags)
 
-    @property
-    def event_count(self) -> int:
-        return sum(len(q) for q in self.queues.values())
-
 
 def parse_trace(path: str) -> TraceFile:
     """Parse a trace file into one ordered event queue per activity.

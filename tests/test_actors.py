@@ -497,6 +497,25 @@ def test_perturbation_reorders_racing_sends(strategy):
     assert len(orders) >= 2
 
 
+@pytest.mark.parametrize("seed", [None, 3], ids=["no-plan", "plan"])
+@pytest.mark.parametrize("strategy", ["sender", "receiver"])
+def test_actor_keeps_under_thirty_instance_attributes(trace_path, strategy, seed):
+    """At 30 instance attributes CPython 3.11 stops sharing an instance's
+    dict keys, which slows every attribute access on the actor."""
+    actors = []
+
+    def program():
+        latch = CompletionLatch(1)
+        actors.append(spawn_actor(lambda msg: latch.count_down()))
+        send(actors[-1], "go")
+        latch.wait()
+
+    perturb = None if seed is None else PerturbationPlan(seed)
+    for mode in ("passive", "record", "replay"):
+        Execution(mode, strategy=strategy, trace_path=trace_path, perturb=perturb).run(program)
+        assert len(vars(actors[-1])) < 30, (mode, sorted(vars(actors[-1])))
+
+
 def test_receiver_replay_scales_like_sender_replay(tmp_path):
     """Receiver-side replay takes each message by its key instead of
     scanning the backlog, so on 20,000 messages its median replay time stays

@@ -151,6 +151,8 @@ def test_unknown_benchmark(capsys):
      "actor pool size must be at least 1, got -1"),
     (["run", "counting-actors", "--pool", "0", "--params", "count=10"],
      "actor pool size must be at least 1, got 0"),
+    (["run", "philosophers-locks", "--params", "round=5"],
+     "benchmark philosophers-locks has no parameter 'round'; known: philosophers, rounds"),
 ])
 def test_usage_errors_print_one_line(argv, message, capsys):
     code, out, err = _run(capsys, *argv)

@@ -1,5 +1,9 @@
 """Execution lifecycle: sinks, flushing, full-consumption, perturbation."""
 
+import random
+import threading
+import time
+
 import pytest
 
 from cmrr import (
@@ -9,12 +13,13 @@ from cmrr import (
     MemorySink,
     PerturbationPlan,
     RRLock,
+    current_activity,
     parse_trace,
     spawn_thread,
 )
 from cmrr import bench, tracefile
 from cmrr.errors import ReplayLeftoverEvents, UsageError
-from cmrr.tracefile import parse_trace_bytes
+from cmrr.tracefile import TraceSink, parse_trace_bytes
 from conftest import record_run, replay_run
 
 
@@ -111,24 +116,72 @@ def test_pool_size_below_one_rejected(pool_size):
         Execution(ExecutionMode.PASSIVE, pool_size=pool_size)
 
 
-def test_perturbation_sequence_is_seed_deterministic():
+def test_perturbation_sequence_is_seed_deterministic(monkeypatch):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+
     def delays_for(seed):
+        slept.clear()
         ex = Execution(ExecutionMode.PASSIVE, perturb=PerturbationPlan(seed, prob=1.0,
-                                                                      max_delay=0.0))
-        sampled = []
+                                                                      max_delay=0.5))
 
         def program():
-            from cmrr import current_activity
-
-            act = current_activity()
-            rng_draws = [act._perturb_rng.random() for _ in range(10)]
-            sampled.extend(rng_draws)
+            for _ in range(10):
+                current_activity().perturb_point()
 
         ex.run(program)
-        return sampled
+        return list(slept)
+
+    def expected_delays(activity_id):
+        # Each point draws its coin, then its share of max_delay, from the
+        # activity's generator, seeded from the plan's seed and the id.
+        rng = random.Random((7 * 0x9E3779B97F4A7C15 + activity_id) & (2**64 - 1))
+        delays = []
+        for _ in range(10):
+            rng.random()  # the coin, always below prob=1.0
+            delays.append(rng.random() * 0.5)
+        return delays
 
     assert delays_for(7) == delays_for(7)
     assert delays_for(7) != delays_for(8)
+    assert delays_for(7) == expected_delays(0)
+    slept.clear()
+    point = PerturbationPlan(7, prob=1.0, max_delay=0.5).point_for(37)
+    for _ in range(10):
+        point()
+    assert slept == expected_delays(37)
+
+
+def test_sink_failure_on_a_threads_last_flush_fails_the_run():
+    """A sink that raises on a thread's final flush aborts the run with its
+    error; the thread still counts down, so the run does not wait for ever."""
+    class FailingSink(TraceSink):
+        def submit(self, activity_id, payload):
+            if activity_id != 0:
+                raise RuntimeError("sink refused the chunk")
+
+    def program():
+        lock = RRLock()
+
+        def worker():
+            with lock:
+                pass
+
+        spawn_thread(worker)
+
+    outcome = []
+
+    def run():
+        try:
+            Execution(ExecutionMode.RECORD, sink=FailingSink()).run(program)
+        except Exception as exc:  # noqa: BLE001 - checked below
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(10)
+    assert not runner.is_alive(), "the run still waits for the failed thread"
+    assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
 
 
 def test_user_exception_propagates_from_run():
