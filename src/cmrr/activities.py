@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
+from itertools import count
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ExecutionAborted, NotAnActivity, UsageError
@@ -79,10 +80,10 @@ class Activity:
         self.name = name or f"{kind.value}-{activity_id}"
         self._path_code = path_code
         self._path_len = path_len
-        self.spawn_counter = 0
-        self.promise_msg_counter = 0
-        self._entity_seq = 0
-        self._msg_seq = 0
+        self.spawn_counter = count()
+        self.promise_msg_counter = count()
+        self.entity_seq = count()
+        self.msg_seq = count()
         self.tx_context = None
         self.buffer: Optional[RecordBuffer] = None
         self.replay_queue: Optional[ReplayQueue] = None
@@ -91,20 +92,8 @@ class Activity:
     def __repr__(self):
         return f"<Activity {self.name} id={self.id}>"
 
-    def next_entity_seq(self) -> int:
-        seq = self._entity_seq
-        self._entity_seq += 1
-        return seq
-
-    def next_msg_seq(self) -> int:
-        seq = self._msg_seq
-        self._msg_seq += 1
-        return seq
-
     def next_child_id(self) -> tuple[int, int, int]:
-        child = child_activity_id(self._path_code, self._path_len, self.spawn_counter)
-        self.spawn_counter += 1
-        return child
+        return child_activity_id(self._path_code, self._path_len, next(self.spawn_counter))
 
     def perturb_point(self) -> None:
         """Scheduling-perturbation site, reached at each traced interaction

@@ -58,14 +58,10 @@ class Message:
     ``sender_id`` is the original author (kept across promise forwarding);
     ``seq`` numbers every message per sender; ``promise_message_id``
     numbers promise-bound messages per sender and is present iff the
-    message was sent to a promise; ``version`` is the message's mailbox
-    key, attached at enqueue time: the recorded mailbox version under
-    sender-side replay; under receiver-side replay ``(sender_id, n)`` for
-    the sender's n-th plain message to the actor, or ``(sender_id,
-    "promise", promise_message_id)``; otherwise the arrival index.
+    message was sent to a promise.
     """
 
-    __slots__ = ("sender_id", "payload", "seq", "promise_message_id", "version")
+    __slots__ = ("sender_id", "payload", "seq", "promise_message_id")
 
     def __init__(self, sender_id: int, payload: Any, seq: int,
                  promise_message_id: Optional[int] = None):
@@ -73,7 +69,6 @@ class Message:
         self.payload = payload
         self.seq = seq
         self.promise_message_id = promise_message_id
-        self.version = 0
 
 
 class _CallbackInvocation:
@@ -102,20 +97,22 @@ class ActorActivity(Activity):
         self._handler = handler
         self.mailbox_entity = _Mailbox()
         self._mailbox_lock = self.mailbox_entity._lock
-        # Pending messages by key (see ``Message.version``); ``_next`` is
-        # the key the drain takes next. Under receiver-side replay it is
-        # read from the trace head, counting plain messages per sender.
+        # Pending messages by key, attached at enqueue time: the recorded
+        # mailbox version under sender-side replay; under receiver-side
+        # replay ``(sender_id, n)`` for the sender's n-th plain message to
+        # the actor, or ``(sender_id, "promise", promise_message_id)``;
+        # otherwise the arrival index. ``_next`` is the key the drain takes
+        # next; under receiver-side replay it is read from the trace head.
         self._mail: dict[Any, Message] = {}
         self._arrivals = 0
         self._arrived_from, self._taken_from = Counter(), Counter()
         by_sender = (execution.mode is REPLAY
                      and execution.strategy is ActorStrategy.RECEIVER_SIDE)
         self._next = self._head_key() if by_sender else 0
-        self._scheduled = False
-        self._running = False
+        # On the ready deque or in a slice; cleared at the slice's end.
+        self._queued = False
         self.processed_log: list[tuple[int, int]] = []
         self.errors: list[BaseException] = []
-        self.error_hook: Optional[Callable[[BaseException], None]] = None
 
     # -- sending ------------------------------------------------------------
 
@@ -162,7 +159,6 @@ class ActorActivity(Activity):
                     # The arrival index is the mailbox version here.
                     record_interaction(acting, EventType.MSG_SEND, key)
                     increment_version(self.mailbox_entity)
-            msg.version = key
             self._mail[key] = msg
             with ex.live_lock:
                 ex.live += 1
@@ -172,22 +168,12 @@ class ActorActivity(Activity):
 
     def _schedule_if_needed(self) -> None:
         # monitor held
-        if not self._scheduled and not self._running:
-            self._scheduled = True
+        if not self._queued:
+            self._queued = True
             self.execution.actor_pool.push_ready(self)
-
-    def _has_runnable_work(self) -> bool:
-        # monitor held
-        if self._mail and isinstance(self._next, ReplayError):
-            # Mail is pending, but the trace head names no receive.
-            self.execution.abort(self._next)
-        return self._next in self._mail
 
     def run_slice(self) -> None:
         """Process every currently runnable message, then yield the worker."""
-        with self._mailbox_lock:
-            self._scheduled = False
-            self._running = True
         set_current_activity(self)
         try:
             self._drain()
@@ -198,8 +184,11 @@ class ActorActivity(Activity):
         finally:
             set_current_activity(None)
             with self._mailbox_lock:
-                self._running = False
-                if self._has_runnable_work():
+                self._queued = False
+                if self._mail and isinstance(self._next, ReplayError):
+                    # Mail is pending, but the trace head names no receive.
+                    self.execution.abort(self._next)
+                if self._next in self._mail:
                     self._schedule_if_needed()
 
     # -- event loop ----------------------------------------------------------
@@ -212,7 +201,8 @@ class ActorActivity(Activity):
         mail, mailbox = self._mail, self.mailbox_entity
         while True:
             with self._mailbox_lock:
-                msg = mail.pop(self._next, None)
+                key = self._next
+                msg = mail.pop(key, None)
                 if msg is None:
                     return  # yield; rescheduled when the awaited key arrives
                 if not by_sender:
@@ -220,7 +210,7 @@ class ActorActivity(Activity):
             if traced and sender_side:
                 # The send traced the version; note the processing order
                 # (== version order) for the run digest.
-                mailbox.note(msg.sender_id, EventType.MSG_SEND, msg.version)
+                mailbox.note(msg.sender_id, EventType.MSG_SEND, key)
             elif traced:
                 # Receiver-side: trace who sent it; replay checks and
                 # consumes the events the key was read from.
@@ -267,11 +257,9 @@ class ActorActivity(Activity):
             # the recorded ones) aborts the run through run_slice.
             raise
         except BaseException as exc:  # noqa: BLE001
-            # Handler errors are deterministic under replay; report them to
-            # the per-actor hook and keep consuming events.
+            # Handler errors are deterministic under replay; keep them in
+            # ``errors`` and keep consuming events.
             self.errors.append(exc)
-            if self.error_hook is not None:
-                self.error_hook(exc)
         finally:
             self.execution.actor_pool.note_processed()
 
@@ -286,14 +274,12 @@ class ActorPool:
         self._ready_cond = threading.Condition()
         self._workers: list[threading.Thread] = []
         self._shutdown = False
-        self._started = False
         self._start_lock = threading.Lock()
 
     def start(self) -> None:
         with self._start_lock:
-            if self._started:
+            if self._workers:
                 return
-            self._started = True
             for i in range(self.size):
                 t = threading.Thread(target=self._worker_loop,
                                      name=f"actor-worker-{i}", daemon=True)
@@ -310,7 +296,7 @@ class ActorPool:
             with self._ready_cond:
                 while not self._ready and not self._shutdown:
                     self._ready_cond.wait()
-                if self._shutdown and not self._ready:
+                if self._shutdown:
                     return
                 actor = self._ready.popleft()
             actor.run_slice()
@@ -325,8 +311,8 @@ class ActorPool:
         ex.progress += 1
 
     def shutdown(self) -> None:
-        if not self._started:
-            return
+        """Stop the workers once their running slices end; after an abort,
+        actors still on the ready deque do not run."""
         with self._ready_cond:
             self._shutdown = True
             self._ready_cond.notify_all()
@@ -353,6 +339,9 @@ class Promise(VersionedEntity):
         # (target, message) pairs: a ``None`` target is the eventual value,
         # an actor target registered a callback.
         self._pending: list[tuple[Optional[ActorActivity], Message]] = []
+        ex = self.execution
+        self._traced = (ex.strategy is ActorStrategy.SENDER_SIDE
+                        and ex.mode is not PASSIVE)
 
     @property
     def resolved(self) -> bool:
@@ -364,18 +353,13 @@ class Promise(VersionedEntity):
             raise UsageError("promise not resolved yet")
         return self._value
 
-    def _traced(self) -> bool:
-        ex = self.execution
-        return (ex.strategy is ActorStrategy.SENDER_SIDE
-                and ex.mode is not PASSIVE)
-
     # -- sending to the eventual result --------------------------------------
 
     def send(self, payload: Any) -> None:
         """Send a message to the promise's eventual result (an actor)."""
         acting = current_activity()
-        msg = Message(acting.id, payload, acting.next_msg_seq(),
-                      promise_message_id=self._next_promise_msg_id(acting))
+        msg = Message(acting.id, payload, next(acting.msg_seq),
+                      promise_message_id=next(acting.promise_msg_counter))
         self._store_or_forward(None, msg)
 
     def when_resolved(self, fn: Callable[[Any], None]) -> None:
@@ -384,22 +368,15 @@ class Promise(VersionedEntity):
         acting = current_activity()
         if not isinstance(acting, ActorActivity):
             raise UsageError("promise callbacks require an actor activity")
-        msg = Message(acting.id, _CallbackInvocation(fn, None), acting.next_msg_seq(),
-                      promise_message_id=self._next_promise_msg_id(acting))
+        msg = Message(acting.id, _CallbackInvocation(fn, None), next(acting.msg_seq),
+                      promise_message_id=next(acting.promise_msg_counter))
         self._store_or_forward(acting, msg)
-
-    @staticmethod
-    def _next_promise_msg_id(acting) -> int:
-        pid = acting.promise_msg_counter
-        acting.promise_msg_counter += 1
-        return pid
 
     def _store_or_forward(self, target: Optional[ActorActivity], msg: Message) -> None:
         acting = current_activity()
-        traced = self._traced()
         with self._lock:
-            if self._stores(acting, traced):
-                if traced:
+            if self._stores(acting):
+                if self._traced:
                     delay_interaction(acting, self, EventType.PROMISE_MSG_STORE)
                     increment_version(self)
                 # Untraced (receiver-side or passive), the race needs no
@@ -410,10 +387,10 @@ class Promise(VersionedEntity):
                 watchdog_wait(self._monitor, lambda: self._resolved, self.execution)
         self._forward(target, msg)
 
-    def _stores(self, acting, traced: bool) -> bool:
+    def _stores(self, acting) -> bool:
         """Whether an operation on the promise is stored until resolution
         (rather than forwarded); monitor held."""
-        if not (traced and self.execution.mode is REPLAY):
+        if not (self._traced and self.execution.mode is REPLAY):
             return not self._resolved
         # The sender's own trace tells us which side of the store/resolve
         # race this operation was on.
@@ -428,21 +405,16 @@ class Promise(VersionedEntity):
         with self._lock:
             if self._resolved:
                 raise AlreadyResolved("promise already resolved")
-            if self._traced():
+            if self._traced:
                 delay_interaction(acting, self, EventType.PROMISE_RESOLVE)
                 increment_version(self)
-            pending = self._take_resolved(value)
+            self._resolved = True
+            self._value = value
+            pending, self._pending = self._pending, []
+            if self._monitor.parked:
+                self._monitor.notify_all()
         for target, msg in pending:
             self._forward(target, msg)
-
-    def _take_resolved(self, value) -> list[tuple[Optional[ActorActivity], Message]]:
-        # monitor held
-        self._resolved = True
-        self._value = value
-        pending, self._pending = self._pending, []
-        if self._monitor.parked:
-            self._monitor.notify_all()
-        return pending
 
     def _forward(self, target: Optional[ActorActivity], msg: Message) -> None:
         if target is None:
@@ -459,5 +431,5 @@ class Promise(VersionedEntity):
 def send(target: ActorActivity, payload: Any) -> None:
     """Send a plain message to an actor from any activity."""
     acting = current_activity()
-    msg = Message(acting.id, payload, acting.next_msg_seq())
+    msg = Message(acting.id, payload, next(acting.msg_seq))
     target.enqueue(msg)

@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     except TraceFormatError as exc:
         print(f"trace format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ReplayError as exc:

@@ -17,7 +17,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import Any, Callable, Optional
 
 from .activities import (
@@ -115,6 +115,8 @@ class Execution:
     ):
         if pool_size is not None and pool_size < 1:
             raise UsageError(f"actor pool size must be at least 1, got {pool_size}")
+        if not watchdog_seconds > 0:  # also rejects nan
+            raise UsageError(f"watchdog must be more than 0 seconds, got {watchdog_seconds}")
         try:
             self.mode = ExecutionMode(mode)
         except ValueError:
@@ -146,7 +148,8 @@ class Execution:
         self.activities: dict[int, Activity] = {}
         self.entities: list[VersionedEntity] = []
         self._entities_lock = threading.Lock()
-        self._internal_entity_seq = 0
+        # Sequence of entities created outside any activity, ids (-1, n).
+        self.internal_entity_seq = count()
         self._ran = False
         self._queues: dict[int, ReplayQueue] = {}
         self.sink: Optional[TraceSink] = None
@@ -166,6 +169,7 @@ class Execution:
             self.strategy = strategy or ActorStrategy.SENDER_SIDE
             if self.mode is ExecutionMode.RECORD:
                 if isinstance(sink, TraceSink):
+                    sink.strategy_flags = strategy_to_flags(self.strategy)
                     self.sink = sink
                 elif sink == "discard":
                     self.sink = DiscardSink()
@@ -180,11 +184,6 @@ class Execution:
         self.commit_point = CommitPoint(self)
 
     # -- bookkeeping ----------------------------------------------------------
-
-    def next_internal_entity_id(self) -> tuple[int, int]:
-        seq = self._internal_entity_seq
-        self._internal_entity_seq += 1
-        return (-1, seq)
 
     def register_entity(self, entity: VersionedEntity) -> None:
         with self._entities_lock:

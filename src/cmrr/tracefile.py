@@ -187,10 +187,12 @@ class FileSink(TraceSink):
 
 
 class MemorySink(TraceSink):
-    """Collects chunks in memory; test hook mirroring the file layout."""
+    """Collects chunks in memory; test hook mirroring the file layout. An
+    ``Execution`` given the sink stamps its strategy's flags on it."""
 
-    def __init__(self, strategy_flags: int = 0):
-        self.strategy_flags = strategy_flags
+    strategy_flags = 0
+
+    def __init__(self):
         self.chunks: list[tuple[int, bytes]] = []
         self._lock = threading.Lock()
 

@@ -202,9 +202,9 @@ class VersionedEntity:
 
             act = current_activity()
             execution = act.execution
-            self.entity_id = (act.id, act.next_entity_seq())
+            self.entity_id = (act.id, next(act.entity_seq))
         else:
-            self.entity_id = execution.next_internal_entity_id()
+            self.entity_id = (-1, next(execution.internal_entity_seq))
         self.execution = execution
         self.version = 0
         # ``with self._lock`` holds the monitor without the Python-level

@@ -151,6 +151,12 @@ def test_unknown_benchmark(capsys):
      "actor pool size must be at least 1, got -1"),
     (["run", "counting-actors", "--pool", "0", "--params", "count=10"],
      "actor pool size must be at least 1, got 0"),
+    (["run", "philosophers-locks", "--watchdog", "0"],
+     "watchdog must be more than 0 seconds, got 0.0"),
+    (["run", "philosophers-locks", "--watchdog=-1"],
+     "watchdog must be more than 0 seconds, got -1.0"),
+    (["run", "philosophers-locks", "--watchdog", "nan"],
+     "watchdog must be more than 0 seconds, got nan"),
     (["run", "philosophers-locks", "--params", "round=5"],
      "benchmark philosophers-locks has no parameter 'round'; known: philosophers, rounds"),
 ])
@@ -171,6 +177,18 @@ def test_missing_trace_file_prints_one_line(command, tmp_path, capsys):
     assert code == EXIT_FORMAT
     assert out == ""
     assert err.count("\n") == 1 and "No such file" in err and missing in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "philosophers-stm", "--mode", "record", "--trace"],
+    ["run", "philosophers-stm", "--mode", "replay", "--trace"], ["dump"], ["stats"],
+])
+def test_directory_as_trace_prints_one_line(command, tmp_path, capsys):
+    code, out, err = _run(capsys, *command, str(tmp_path))
+    assert code == EXIT_FORMAT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: ")
+    assert str(tmp_path) in err
 
 
 def test_self_join_is_a_usage_error(monkeypatch, capsys):

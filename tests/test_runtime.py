@@ -76,6 +76,21 @@ def test_memory_sink_mirrors_file_layout():
     assert sum(len(q) for q in trace.queues.values()) > 0
 
 
+@pytest.mark.parametrize("strategy", ["sender", "receiver"])
+def test_memory_sink_carries_the_strategy(tmp_path, strategy):
+    """A given sink is stamped with the run's strategy, so its bytes replay
+    to the recorded digest."""
+    spec = bench.REGISTRY["counting-actors"]
+    params = dict(spec.defaults, count=50)
+    sink = MemorySink()
+    recorded = Execution("record", strategy=strategy, sink=sink).run(spec.func, params)
+    path = tmp_path / "memory.trc"
+    path.write_bytes(sink.as_bytes())
+    assert parse_trace(str(path)).strategy.name == f"{strategy.upper()}_SIDE"
+    replayed = Execution("replay", trace_path=str(path)).run(spec.func, params)
+    assert replayed.digest == recorded.digest
+
+
 def test_execution_runs_exactly_once():
     ex = Execution(ExecutionMode.PASSIVE)
     ex.run(lambda: None)
