@@ -151,14 +151,14 @@ def test_unknown_benchmark(capsys):
      "actor pool size must be at least 1, got -1"),
     (["run", "counting-actors", "--pool", "0", "--params", "count=10"],
      "actor pool size must be at least 1, got 0"),
+    (["run", "philosophers-locks", "--params", "round=5"],
+     "benchmark philosophers-locks has no parameter 'round'; known: philosophers, rounds"),
     (["run", "philosophers-locks", "--watchdog", "0"],
      "watchdog must be more than 0 seconds, got 0.0"),
     (["run", "philosophers-locks", "--watchdog=-1"],
      "watchdog must be more than 0 seconds, got -1.0"),
     (["run", "philosophers-locks", "--watchdog", "nan"],
      "watchdog must be more than 0 seconds, got nan"),
-    (["run", "philosophers-locks", "--params", "round=5"],
-     "benchmark philosophers-locks has no parameter 'round'; known: philosophers, rounds"),
 ])
 def test_usage_errors_print_one_line(argv, message, capsys):
     code, out, err = _run(capsys, *argv)
