@@ -38,7 +38,7 @@ from .errors import (
     ReplayTypeMismatch,
     UsageError,
 )
-from .events import EventType
+from .events import MSG_RCVD, MSG_SEND, PROMISE_MSG_STORE, PROMISE_RESOLVE, PROMMSG_RCVD, describe
 from .tracefile import ActorStrategy
 from .tracing import (
     PASSIVE,
@@ -50,6 +50,9 @@ from .tracing import (
     record_interaction,
     watchdog_wait,
 )
+
+# Hot-path aliases: a module global reads faster than an enum member.
+SENDER_SIDE, RECEIVER_SIDE = ActorStrategy
 
 
 class Message:
@@ -107,7 +110,7 @@ class ActorActivity(Activity):
         self._arrivals = 0
         self._arrived_from, self._taken_from = Counter(), Counter()
         by_sender = (execution.mode is REPLAY
-                     and execution.strategy is ActorStrategy.RECEIVER_SIDE)
+                     and execution.strategy is RECEIVER_SIDE)
         self._next = self._head_key() if by_sender else 0
         # On the ready deque or in a slice; cleared at the slice's end.
         self._queued = False
@@ -124,7 +127,7 @@ class ActorActivity(Activity):
         """
         acting = current_activity()
         ex = self.execution
-        sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
+        sender_side = ex.strategy is SENDER_SIDE
         recorded = sender_side and ex.mode is RECORD
         if not recorded:  # else record_interaction perturbs
             acting.perturb_point()
@@ -133,7 +136,7 @@ class ActorActivity(Activity):
             # Non-blocking by design: attach the recorded version instead
             # of delaying the send, so pool workers can always run.
             queue = acting.replay_queue
-            key = queue.expect(EventType.MSG_SEND).data
+            key = queue.expect(MSG_SEND)[1]
             queue.advance()
             ex.progress += 1
         with self._mailbox_lock:
@@ -157,7 +160,7 @@ class ActorActivity(Activity):
                 self._arrivals += 1
                 if recorded:
                     # The arrival index is the mailbox version here.
-                    record_interaction(acting, EventType.MSG_SEND, key)
+                    record_interaction(acting, MSG_SEND, key)
                     increment_version(self.mailbox_entity)
             self._mail[key] = msg
             with ex.live_lock:
@@ -195,11 +198,14 @@ class ActorActivity(Activity):
 
     def _drain(self) -> None:
         ex = self.execution
-        sender_side = ex.strategy is ActorStrategy.SENDER_SIDE
+        sender_side = ex.strategy is SENDER_SIDE
         traced = ex.mode is not PASSIVE
         by_sender = ex.mode is REPLAY and not sender_side
         mail, mailbox = self._mail, self.mailbox_entity
-        while True:
+        # At most the mail present at the slice's start: run_slice
+        # reschedules the actor for what arrives meanwhile, so an actor
+        # messaging itself cannot hold its worker for ever.
+        for _ in range(len(mail)):
             with self._mailbox_lock:
                 key = self._next
                 msg = mail.pop(key, None)
@@ -210,16 +216,16 @@ class ActorActivity(Activity):
             if traced and sender_side:
                 # The send traced the version; note the processing order
                 # (== version order) for the run digest.
-                mailbox.note(msg.sender_id, EventType.MSG_SEND, key)
+                mailbox.note(msg.sender_id, MSG_SEND, key)
             elif traced:
                 # Receiver-side: trace who sent it; replay checks and
                 # consumes the events the key was read from.
                 if msg.promise_message_id is not None:
-                    record_interaction(self, EventType.PROMMSG_RCVD,
+                    record_interaction(self, PROMMSG_RCVD,
                                        msg.promise_message_id, entity=mailbox)
                 elif by_sender:
                     self._taken_from[msg.sender_id] += 1
-                record_interaction(self, EventType.MSG_RCVD, msg.sender_id,
+                record_interaction(self, MSG_RCVD, msg.sender_id,
                                    entity=mailbox)
             self._execute(msg)
             if by_sender:
@@ -230,19 +236,18 @@ class ActorActivity(Activity):
         head names or, when it names none, the error reading it raises."""
         queue = self.replay_queue
         try:
-            head = queue.expect(EventType.MSG_RCVD, EventType.PROMMSG_RCVD)
+            head_type, data = queue.expect(MSG_RCVD, PROMMSG_RCVD)
         except ReplayError as err:
             return err
-        if head.event_type == EventType.MSG_RCVD:
-            return (head.data, self._taken_from[head.data])
+        if head_type == MSG_RCVD:
+            return (data, self._taken_from[data])
         second = queue.peek_second()
-        if second is not None and second.event_type == EventType.MSG_RCVD:
-            return (second.data, "promise", head.data)
+        if second is not None and second[0] == MSG_RCVD:
+            return (second[1], "promise", data)
         error = f"activity {self.id}: expected MSG_RCVD after PROMMSG_RCVD, "
         if second is None:
             return ReplayQueueExhausted(error + "trace is exhausted")
-        return ReplayTypeMismatch(
-            error + f"trace holds {second.type_name}(data={second.data})")
+        return ReplayTypeMismatch(error + f"trace holds {describe(second)}")
 
     def _execute(self, msg: Message) -> None:
         self.processed_log.append((msg.sender_id, msg.seq))
@@ -340,7 +345,7 @@ class Promise(VersionedEntity):
         # an actor target registered a callback.
         self._pending: list[tuple[Optional[ActorActivity], Message]] = []
         ex = self.execution
-        self._traced = (ex.strategy is ActorStrategy.SENDER_SIDE
+        self._traced = (ex.strategy is SENDER_SIDE
                         and ex.mode is not PASSIVE)
 
     @property
@@ -377,7 +382,7 @@ class Promise(VersionedEntity):
         with self._lock:
             if self._stores(acting):
                 if self._traced:
-                    delay_interaction(acting, self, EventType.PROMISE_MSG_STORE)
+                    delay_interaction(acting, self, PROMISE_MSG_STORE)
                     increment_version(self)
                 # Untraced (receiver-side or passive), the race needs no
                 # events: the receiving actors' traces pin every delivery.
@@ -394,8 +399,8 @@ class Promise(VersionedEntity):
             return not self._resolved
         # The sender's own trace tells us which side of the store/resolve
         # race this operation was on.
-        head = acting.replay_queue.expect(EventType.PROMISE_MSG_STORE, EventType.MSG_SEND)
-        return head.event_type == EventType.PROMISE_MSG_STORE
+        head = acting.replay_queue.expect(PROMISE_MSG_STORE, MSG_SEND)
+        return head[0] == PROMISE_MSG_STORE
 
     # -- resolution -----------------------------------------------------------
 
@@ -406,7 +411,7 @@ class Promise(VersionedEntity):
             if self._resolved:
                 raise AlreadyResolved("promise already resolved")
             if self._traced:
-                delay_interaction(acting, self, EventType.PROMISE_RESOLVE)
+                delay_interaction(acting, self, PROMISE_RESOLVE)
                 increment_version(self)
             self._resolved = True
             self._value = value

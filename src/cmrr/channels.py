@@ -17,10 +17,11 @@ waiting, so a not-yet-due operation still never holds the channel hostage.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from .activities import current_activity
-from .events import EventType
+from .events import CHANNEL_READ, CHANNEL_WRITE
 from .tracing import VersionedEntity, delay_interaction, increment_version, watchdog_wait
 
 
@@ -42,13 +43,13 @@ class Channel(VersionedEntity):
         # Each rendezvous logs its write before its read (a read passes
         # only once the slot is full). Digests have always hashed the read
         # first, so keep the (version, type) order.
-        return sorted(self._log, key=lambda entry: (entry[2], entry[1], entry[0]))
+        return sorted(self._log, key=itemgetter(2, 1, 0))
 
     def check_version_completeness(self):
         # One read and one write event per rendezvous, both carrying the
         # rendezvous version.
-        reads = sorted(d for (_, t, d) in self._log if t == EventType.CHANNEL_READ)
-        writes = sorted(d for (_, t, d) in self._log if t == EventType.CHANNEL_WRITE)
+        reads = sorted(d for (_, t, d) in self._log if t == CHANNEL_READ)
+        writes = sorted(d for (_, t, d) in self._log if t == CHANNEL_WRITE)
         expected = list(range(self.version))
         if reads != expected or writes != expected:
             return (f"channel {self.entity_id}: reads {reads[:10]} / writes "
@@ -58,7 +59,7 @@ class Channel(VersionedEntity):
     def write(self, value: Any) -> None:
         """Block until a reader takes ``value``; owns the version increment."""
         with self._lock:
-            delay_interaction(current_activity(), self, EventType.CHANNEL_WRITE,
+            delay_interaction(current_activity(), self, CHANNEL_WRITE,
                               lambda: not self._writer_active)
             self._writer_active = True
             self._slot = value
@@ -75,7 +76,7 @@ class Channel(VersionedEntity):
     def read(self) -> Any:
         """Block until paired with a writer; returns the written value."""
         with self._lock:
-            delay_interaction(current_activity(), self, EventType.CHANNEL_READ,
+            delay_interaction(current_activity(), self, CHANNEL_READ,
                               lambda: self._slot_full)
             value = self._slot
             self._slot = None

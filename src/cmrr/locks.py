@@ -36,7 +36,7 @@ from typing import Optional
 
 from .activities import Activity, current_activity
 from .errors import NotOwner
-from .events import EventType
+from .events import AWAIT_SIGNALED, AWAIT_TIMEOUT, LOCK
 from .tracing import (
     PASSIVE,
     REPLAY,
@@ -93,7 +93,7 @@ class RRLock(VersionedEntity):
             if self._owner is act:
                 self._depth += 1  # reentrant: deterministic, not recorded
                 return
-            self._acquire_gated(act, EventType.LOCK, 1)
+            self._acquire_gated(act, LOCK, 1)
 
     def _acquire_gated(self, act: Activity, event_type: int, depth: int) -> None:
         """Acquire through the interaction gate as one ``event_type``
@@ -107,9 +107,9 @@ class RRLock(VersionedEntity):
         # type.
         head = act.replay_queue.peek() if replaying else None
         gated = head is not None and (
-            self._owner is not None or self.version != head.data)
+            self._owner is not None or self.version != head[1])
         if gated:
-            self._gated_versions.add(head.data)
+            self._gated_versions.add(head[1])
         try:
             # Recording gives signaled waiters strict priority (FIFO),
             # which makes the implicit-vs-explicit race a deterministic
@@ -118,7 +118,7 @@ class RRLock(VersionedEntity):
                 self._owner is None and (replaying or not self._implicit_queue)))
         finally:
             if gated:
-                self._gated_versions.discard(head.data)
+                self._gated_versions.discard(head[1])
         self._owner = act
         self._depth = depth
         increment_version(self)
@@ -212,11 +212,10 @@ class RRCondition:
         replaying = ex.mode is REPLAY
         with lock._lock:
             if replaying:
-                head = act.replay_queue.expect(EventType.AWAIT_SIGNALED,
-                                               EventType.AWAIT_TIMEOUT)
+                head_type, _ = act.replay_queue.expect(AWAIT_SIGNALED, AWAIT_TIMEOUT)
             depth = lock._release_fully(act)
-            if replaying and head.event_type == EventType.AWAIT_TIMEOUT:
-                lock._acquire_gated(act, EventType.AWAIT_TIMEOUT, depth)
+            if replaying and head_type == AWAIT_TIMEOUT:
+                lock._acquire_gated(act, AWAIT_TIMEOUT, depth)
                 return False
             waiter = _CondWaiter()
             self._wait_queue.append(waiter)
@@ -238,7 +237,7 @@ class RRCondition:
             signaled = waiter.signaled
             record_interaction(
                 act,
-                EventType.AWAIT_SIGNALED if signaled else EventType.AWAIT_TIMEOUT,
+                AWAIT_SIGNALED if signaled else AWAIT_TIMEOUT,
                 lock.version,
                 entity=lock,
             )

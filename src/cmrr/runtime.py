@@ -34,7 +34,7 @@ from .errors import (
     TraceFormatError,
     UsageError,
 )
-from .events import EventType
+from .events import ACTIVITY_SPAWN, describe
 from .stm import CommitPoint
 from .tracefile import (
     ActorStrategy,
@@ -93,6 +93,10 @@ class RunResult:
     strategy: ActorStrategy
     trace_path: Optional[str] = None
     actor_logs: dict = field(default_factory=dict)
+
+
+# Log entries formatted per hash update in ``Execution.compute_digest``.
+DIGEST_SLICE = 4096
 
 
 def _default_pool_size() -> int:
@@ -230,7 +234,7 @@ class Execution:
         """
         parent = current_activity()
         child_id, code, length = parent.next_child_id()
-        record_interaction(parent, EventType.ACTIVITY_SPAWN, child_id)
+        record_interaction(parent, ACTIVITY_SPAWN, child_id)
         if kind is ActivityKind.ACTOR:
             child: Activity = ActorActivity(self, child_id, entry, code, length, name)
             self.actor_pool.start()
@@ -311,7 +315,7 @@ class Execution:
         }
         if leftovers:
             detail = "; ".join(
-                f"activity {aid}: {n} events left, next {ev.type_name}(data={ev.data})"
+                f"activity {aid}: {n} events left, next {describe(ev)}"
                 for aid, (n, ev) in sorted(leftovers.items())
             )
             raise ReplayLeftoverEvents(f"replay did not consume the trace: {detail}")
@@ -325,9 +329,12 @@ class Execution:
         with self._entities_lock:
             entities = sorted(self.entities, key=lambda e: e.entity_id)
         for entity in entities:
+            h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
             lines = entity.digest_lines()
-            body = ("|%d,%d,%d" * len(lines)) % tuple(chain.from_iterable(lines))
-            h.update(f"\n#{entity.kind}{entity.entity_id}{body}".encode())
+            # Bounded slices: no bytes object as large as the whole log.
+            for start in range(0, len(lines), DIGEST_SLICE):
+                part = lines[start:start + DIGEST_SLICE]
+                h.update((b"|%d,%d,%d" * len(part)) % tuple(chain.from_iterable(part)))
         return h.hexdigest()
 
     def version_completeness_report(self) -> list[str]:

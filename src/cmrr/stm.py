@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional, TypeVar
 
 from .activities import current_activity, current_activity_or_none
 from .errors import TransactionUsageError
-from .events import EventType
+from .events import TX_COMMIT
 from .tracing import (
     REPLAY,
     VersionedEntity,
@@ -125,13 +125,13 @@ def _try_commit(ctx: TxContext, act) -> bool:
     commit_point = ctx.commit_point
     with commit_point._lock:
         if ex.mode is REPLAY:
-            version = act.replay_queue.expect(EventType.TX_COMMIT).data
+            version = act.replay_queue.expect(TX_COMMIT)[1]
             watchdog_wait(commit_point._monitor,
                           lambda: commit_point.version == version, ex)
         for ref, stamp in ctx.reads.items():
             if ref._stamp != stamp:
                 return False
-        record_interaction(act, EventType.TX_COMMIT, commit_point.version,
+        record_interaction(act, TX_COMMIT, commit_point.version,
                            entity=commit_point)
         increment_version(commit_point)
         for ref, value in ctx.writes.items():

@@ -37,7 +37,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import ReplayDeadlock, ReplayQueueExhausted, ReplayTypeMismatch
-from .events import EventType, TraceEvent, pack_event
+from .events import EventType, TraceEvent, describe, pack_event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .activities import Activity
@@ -113,14 +113,15 @@ class RecordBuffer:
 class ReplayQueue:
     """Ordered per-activity event sequence with a consuming cursor.
 
-    ``expect`` checks the head's type and ``advance`` consumes it, strictly
-    in recorded order; ``peek`` never consumes. One event of lookahead past
-    the head is available: receiver-side actor replay reads both events of
-    a promise receive, PROMMSG_RCVD(id) then MSG_RCVD(sender), to name the
-    message before it has arrived.
+    Events are plain ``(type, data)`` pairs, as ``decode_payload`` parses
+    them. ``expect`` checks the head's type and ``advance`` consumes it,
+    strictly in recorded order; ``peek`` never consumes. One event of
+    lookahead past the head is available: receiver-side actor replay reads
+    both events of a promise receive, PROMMSG_RCVD(id) then
+    MSG_RCVD(sender), to name the message before it has arrived.
     """
 
-    def __init__(self, owner_id: int, events: Iterable[TraceEvent]):
+    def __init__(self, owner_id: int, events: Iterable[tuple[int, int]]):
         self.owner_id = owner_id
         self._events = list(events)
         self._pos = 0
@@ -135,14 +136,14 @@ class ReplayQueue:
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The full recorded sequence, including consumed events."""
-        return tuple(self._events)
+        return tuple(map(TraceEvent._make, self._events))
 
-    def peek(self) -> Optional[TraceEvent]:
+    def peek(self) -> Optional[tuple[int, int]]:
         if self._pos < len(self._events):
             return self._events[self._pos]
         return None
 
-    def peek_second(self) -> Optional[TraceEvent]:
+    def peek_second(self) -> Optional[tuple[int, int]]:
         """Look one event past the head without consuming."""
         if self._pos + 1 < len(self._events):
             return self._events[self._pos + 1]
@@ -152,14 +153,14 @@ class ReplayQueue:
         """Consume the head that ``expect`` returned."""
         self._pos += 1
 
-    def expect(self, *event_types: int) -> TraceEvent:
+    def expect(self, *event_types: int) -> tuple[int, int]:
         """Peek the head and verify its type is one of ``event_types``;
         does not consume. The one check of what the trace may hold next."""
         if self._pos < len(self._events):
             ev = self._events[self._pos]
-            if ev.event_type in event_types:
+            if ev[0] in event_types:
                 return ev
-            error, found = ReplayTypeMismatch, f"trace holds {ev.type_name}(data={ev.data})"
+            error, found = ReplayTypeMismatch, f"trace holds {describe(ev)}"
         else:
             error, found = ReplayQueueExhausted, "trace is exhausted"
         names = " or ".join(EventType(t).name for t in event_types)
@@ -258,11 +259,11 @@ def record_interaction(activity: "Activity", event_type: int, data: int,
     elif ex.mode is REPLAY:
         queue = activity.replay_queue
         ev = queue.expect(event_type)
-        if ev.data != data:
+        if ev[1] != data:
             on = "" if entity is None else f" on {entity.kind} {entity.entity_id}"
             raise ReplayTypeMismatch(
-                f"activity {activity.id}: {ev.type_name}(data={data}){on}, "
-                f"trace holds {ev.type_name}(data={ev.data})")
+                f"activity {activity.id}: {describe((event_type, data))}{on}, "
+                f"trace holds {describe(ev)}")
         queue.advance()
         ex.progress += 1
     else:
@@ -291,7 +292,7 @@ def increment_version(entity: VersionedEntity) -> int:
 
 def delay_interaction(activity: "Activity", entity: VersionedEntity,
                       expected_type: int,
-                      ready: Optional[Callable[[], bool]] = None) -> Optional[TraceEvent]:
+                      ready: Optional[Callable[[], bool]] = None) -> Optional[tuple[int, int]]:
     """The one gate of an ``expected_type`` interaction on ``entity``:
     wait until the activity may perform it, and trace it.
 
@@ -299,9 +300,9 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     Replay: verifies the head of the activity's replay queue has
     ``expected_type``, waits once until ``entity.version`` equals the
     version stored in that event and ``ready()`` (when given) holds, then
-    consumes, logs and returns it. Record and passive: waits for
-    ``ready()``, records the event at the entity's current version (a
-    no-op when passive) and returns ``None``.
+    consumes, logs and returns it as a ``(type, data)`` pair. Record and
+    passive: waits for ``ready()``, records the event at the entity's
+    current version (a no-op when passive) and returns ``None``.
     """
     ex = activity.execution
     if ex.mode is not REPLAY:
@@ -312,14 +313,14 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     activity.perturb_point()
     queue = activity.replay_queue
     ev = queue.expect(expected_type)
-    version = ev.data
+    version = ev[1]
     if ready is None:
         watchdog_wait(entity._monitor, lambda: entity.version == version, ex)
     else:
         watchdog_wait(entity._monitor,
                       lambda: entity.version == version and ready(), ex)
     queue.advance()
-    entity._log.append((activity.id, ev.event_type, version))
+    entity._log.append((activity.id, expected_type, version))
     ex.progress += 1
     return ev
 

@@ -56,17 +56,25 @@ def _replay(program, path, *args, seed=None, **kwargs):
 
 
 def test_criterion_1_determinism_suite(tmp_path):
+    # Pinned to one CPU, the runs' threads do not hand the interpreter lock
+    # across CPUs, which took most of the suite's time. Threads started by
+    # a run inherit the pinning.
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
     started = time.monotonic()
-    for name in sorted(bench.REGISTRY):
-        path = str(tmp_path / f"{name}.trc")
-        recorded = bench.run_benchmark(name, "record", trace_path=path, seed=0,
-                                       watchdog_seconds=WATCHDOG)
-        digests = {recorded.digest}
-        for seed in range(1, 21):
-            replayed = bench.run_benchmark(name, "replay", trace_path=path,
-                                           seed=seed, watchdog_seconds=WATCHDOG)
-            digests.add(replayed.digest)
-        assert len(digests) == 1, f"{name}: digests diverged across 21 runs"
+    try:
+        for name in sorted(bench.REGISTRY):
+            path = str(tmp_path / f"{name}.trc")
+            recorded = bench.run_benchmark(name, "record", trace_path=path, seed=0,
+                                           watchdog_seconds=WATCHDOG)
+            digests = {recorded.digest}
+            for seed in range(1, 21):
+                replayed = bench.run_benchmark(name, "replay", trace_path=path,
+                                               seed=seed, watchdog_seconds=WATCHDOG)
+                digests.add(replayed.digest)
+            assert len(digests) == 1, f"{name}: digests diverged across 21 runs"
+    finally:
+        os.sched_setaffinity(0, affinity)
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s, budget is 2 minutes"
     _pass(1, f"7 benchmarks x (1 record + 20 seeded replays) identical "

@@ -517,22 +517,11 @@ def test_actor_keeps_under_thirty_instance_attributes(trace_path, strategy, seed
         assert len(vars(actors[-1])) < 30, (mode, sorted(vars(actors[-1])))
 
 
-@pytest.mark.parametrize("mode", ["passive", "record"])
-def test_abort_stops_the_pool_while_actors_keep_messaging(mode):
-    """After an abort the pool stops once its running slices end, so a
-    failed run returns even while two actors ping-pong for ever."""
+def _assert_aborted_run_returns(mode, program):
+    """Run ``program`` in a daemon thread: it must raise its ValueError
+    within 10 s and leave no pool worker alive."""
     ex = Execution(mode, sink="discard")
     outcome = []
-
-    def program():
-        actors = []
-
-        def bounce(msg):
-            send(actors[msg % 2], msg + 1)
-
-        actors.extend([spawn_actor(bounce), spawn_actor(bounce)])
-        send(actors[0], 0)
-        raise ValueError("main failed")
 
     def run():
         try:
@@ -546,6 +535,38 @@ def test_abort_stops_the_pool_while_actors_keep_messaging(mode):
     assert not runner.is_alive(), "the aborted run did not return within 10 s"
     assert len(outcome) == 1 and isinstance(outcome[0], ValueError)
     assert not any(t.is_alive() for t in ex.actor_pool._workers)
+
+
+@pytest.mark.parametrize("mode", ["passive", "record"])
+def test_abort_stops_the_pool_while_actors_keep_messaging(mode):
+    """After an abort the pool stops once its running slices end, so a
+    failed run returns even while two actors ping-pong for ever."""
+    def program():
+        actors = []
+
+        def bounce(msg):
+            send(actors[msg % 2], msg + 1)
+
+        actors.extend([spawn_actor(bounce), spawn_actor(bounce)])
+        send(actors[0], 0)
+        raise ValueError("main failed")
+
+    _assert_aborted_run_returns(mode, program)
+
+
+@pytest.mark.parametrize("mode", ["passive", "record"])
+def test_abort_stops_an_actor_that_keeps_messaging_itself(mode):
+    """A slice takes at most the mail present at its start, so an actor
+    sending to itself for ever still ends its slice and the aborted run's
+    pool stops. The sleep lets the actor leave the ready deque first."""
+    def program():
+        box = []
+        box.append(spawn_actor(lambda msg: send(box[0], msg + 1)))
+        send(box[0], 0)
+        time.sleep(0.2)
+        raise ValueError("main failed")
+
+    _assert_aborted_run_returns(mode, program)
 
 
 def test_receiver_replay_scales_like_sender_replay(tmp_path):

@@ -1,20 +1,24 @@
 """Property test of the run digest's bytes.
 
-``Execution.compute_digest`` formats each entity's log in one call. It
-must hash exactly the bytes of the reference below, one f-string per log
-entry, so that every digest stays comparable across versions.
+``Execution.compute_digest`` formats each entity's log as bytes, in
+slices of ``DIGEST_SLICE`` entries. It must hash exactly the bytes of the
+reference below, one f-string per log entry, so that every digest stays
+comparable across versions.
 """
 
 import hashlib
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmrr import Channel, EventType, Execution, ExecutionMode, VersionedEntity
+from cmrr.runtime import DIGEST_SLICE
 
 _U64 = st.integers(0, 2**64 - 1)
-# Recorded events log an EventType member, replayed ones the decoded int.
+# The runtime logs plain int tags; a caller of ``note`` may pass EventType
+# members, which must hash alike.
 _TYPES = list(EventType) + [int(t) for t in EventType]
 entries = st.tuples(_U64, st.sampled_from(_TYPES), _U64)
 # One entity per item: whether it is a channel, and its log.
@@ -45,3 +49,20 @@ def test_digest_bytes_match_the_per_entry_reference(logs, outputs):
     ex = Execution(ExecutionMode.PASSIVE)
     result = ex.run(program)
     assert result.digest == _reference_digest(ex, outputs)
+
+
+def test_digest_of_logs_longer_than_a_slice_matches_the_reference():
+    """A channel and a plain entity of 10,000 entries each: several slices,
+    the last one partial."""
+    assert 10_000 > 2 * DIGEST_SLICE and 10_000 % DIGEST_SLICE
+    rng = random.Random(14)
+
+    def program():
+        for entity in (Channel(), VersionedEntity()):
+            for _ in range(10_000):
+                entity.note(rng.getrandbits(16), rng.choice(_TYPES), rng.getrandbits(64))
+        return "done"
+
+    ex = Execution(ExecutionMode.PASSIVE)
+    result = ex.run(program)
+    assert result.digest == _reference_digest(ex, "done")

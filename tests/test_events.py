@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cmrr import EVENT_SIZE, EventType, TraceEvent, decode_event, encode_event
+from cmrr import EVENT_SIZE, EventType, TraceEvent, decode_event, encode_event, events
 from cmrr.errors import TraceFormatError
 
 
@@ -21,6 +21,14 @@ def test_registry_values_are_frozen():
         "PROMMSG_RCVD": 11,
         "ACTIVITY_SPAWN": 12,
     }
+
+
+def test_tag_constants_match_the_registry():
+    """The plain-int tags in ``events`` are unpacked from ``EventType`` in
+    order: each must equal the member of its name, and they cover them all."""
+    constants = {name: value for name, value in vars(events).items()
+                 if name.isupper() and type(value) is int and name != "EVENT_SIZE"}
+    assert constants == {t.name: t.value for t in EventType}
 
 
 def test_encode_tx_commit_example():

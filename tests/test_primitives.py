@@ -173,7 +173,7 @@ def test_delay_interaction_unblocks_on_cross_activity_increment(tmp_path):
             event = delay_interaction(current_activity(), entity, EventType.LOCK)
         timeline.append("unblocked")
         child.join()
-        assert event.data == 1
+        assert event[1] == 1
         assert timeline == ["increment", "unblocked"]
 
     ex.run(program)
