@@ -36,7 +36,8 @@ class ActivityKind(Enum):
 # the root as a concatenation of self-delimiting nibble varints (3 data
 # bits + 1 continuation bit per nibble). Prefix-free varints make the
 # concatenation uniquely decodable, hence the mapping injective for every
-# spawn tree that fits in 64 bits. The root id is 0.
+# spawn tree that fits in 64 bits. The root id is 0. An id is the path with
+# a leading 1 bit, minus one, so the path can be read back from the id.
 # ---------------------------------------------------------------------------
 
 _ID_BITS = 64
@@ -55,9 +56,11 @@ def _counter_nibbles(counter: int) -> list[int]:
     return nibbles
 
 
-def child_activity_id(parent_code: int, parent_len: int, counter: int) -> tuple[int, int, int]:
-    """Return (child id, child path code, child path length in bits)."""
-    code, length = parent_code, parent_len
+def child_activity_id(parent_id: int, counter: int) -> int:
+    """The id of the ``counter``-th child spawned by activity ``parent_id``."""
+    n = parent_id + 1
+    length = n.bit_length() - 1
+    code = n - (1 << length)
     for nibble in _counter_nibbles(counter):
         code = (code << 4) | nibble
         length += 4
@@ -66,20 +69,18 @@ def child_activity_id(parent_code: int, parent_len: int, counter: int) -> tuple[
             "spawn tree too deep/wide for 64-bit activity ids "
             f"(needs {length + 1} bits)"
         )
-    return ((1 << length) | code) - 1, code, length
+    return ((1 << length) | code) - 1
 
 
 class Activity:
     """One unit of execution: owns either a record buffer or a replay queue."""
 
     def __init__(self, execution: "Execution", activity_id: int, kind: ActivityKind,
-                 path_code: int = 0, path_len: int = 0, name: str = ""):
+                 name: str = ""):
         self.execution = execution
         self.id = activity_id
         self.kind = kind
         self.name = name or f"{kind.value}-{activity_id}"
-        self._path_code = path_code
-        self._path_len = path_len
         self.spawn_counter = count()
         self.promise_msg_counter = count()
         self.entity_seq = count()
@@ -91,9 +92,6 @@ class Activity:
 
     def __repr__(self):
         return f"<Activity {self.name} id={self.id}>"
-
-    def next_child_id(self) -> tuple[int, int, int]:
-        return child_activity_id(self._path_code, self._path_len, next(self.spawn_counter))
 
     def perturb_point(self) -> None:
         """Scheduling-perturbation site, reached at each traced interaction
@@ -108,9 +106,8 @@ class Activity:
 class ThreadActivity(Activity):
     """Activity backed 1:1 by an OS thread (THREAD and PROCESS kinds)."""
 
-    def __init__(self, execution, activity_id, kind, entry, args,
-                 path_code=0, path_len=0, name=""):
-        super().__init__(execution, activity_id, kind, path_code, path_len, name)
+    def __init__(self, execution, activity_id, kind, entry, args, name=""):
+        super().__init__(execution, activity_id, kind, name)
         self._entry = entry
         self._args = args
         self._thread = threading.Thread(target=self._bootstrap, name=self.name, daemon=True)

@@ -61,27 +61,21 @@ class Message:
     ``sender_id`` is the original author (kept across promise forwarding);
     ``seq`` numbers every message per sender; ``promise_message_id``
     numbers promise-bound messages per sender and is present iff the
-    message was sent to a promise.
+    message was sent to a promise. A message carrying a ``callback`` (a
+    promise callback) runs it, instead of the actor's handler, on the
+    payload, which is the resolved value.
     """
 
-    __slots__ = ("sender_id", "payload", "seq", "promise_message_id")
+    __slots__ = ("sender_id", "payload", "seq", "promise_message_id", "callback")
 
     def __init__(self, sender_id: int, payload: Any, seq: int,
-                 promise_message_id: Optional[int] = None):
+                 promise_message_id: Optional[int] = None,
+                 callback: Optional[Callable[[Any], None]] = None):
         self.sender_id = sender_id
         self.payload = payload
         self.seq = seq
         self.promise_message_id = promise_message_id
-
-
-class _CallbackInvocation:
-    """Internal payload that runs a promise callback on the registrant's loop."""
-
-    __slots__ = ("fn", "value")
-
-    def __init__(self, fn: Callable[[Any], None], value: Any):
-        self.fn = fn
-        self.value = value
+        self.callback = callback
 
 
 class _Mailbox(VersionedEntity):
@@ -91,10 +85,8 @@ class _Mailbox(VersionedEntity):
 class ActorActivity(Activity):
     """An actor: activity plus mailbox, scheduled on the worker pool."""
 
-    def __init__(self, execution, activity_id, handler: Callable[[Any], None],
-                 path_code=0, path_len=0, name=""):
-        super().__init__(execution, activity_id, ActivityKind.ACTOR,
-                         path_code, path_len, name)
+    def __init__(self, execution, activity_id, handler: Callable[[Any], None], name=""):
+        super().__init__(execution, activity_id, ActivityKind.ACTOR, name)
         # At 30 instance attributes CPython 3.11 stops sharing dict keys,
         # which slows every attribute access here: keep to 29 or fewer.
         self._handler = handler
@@ -119,13 +111,13 @@ class ActorActivity(Activity):
 
     # -- sending ------------------------------------------------------------
 
-    def enqueue(self, msg: Message) -> None:
+    def enqueue(self, msg: Message, acting: Activity) -> None:
         """Deliver a message; callable from any activity.
 
-        The acting (current) activity carries the trace semantics; the
-        message's ``sender_id`` may differ when a promise forwards it.
+        ``acting``, the caller's current activity, carries the trace
+        semantics; the message's ``sender_id`` may differ when a promise
+        forwards it.
         """
-        acting = current_activity()
         ex = self.execution
         sender_side = ex.strategy is SENDER_SIDE
         recorded = sender_side and ex.mode is RECORD
@@ -138,7 +130,6 @@ class ActorActivity(Activity):
             queue = acting.replay_queue
             key = queue.expect(MSG_SEND)[1]
             queue.advance()
-            ex.progress += 1
         with self._mailbox_lock:
             if replayed:
                 # The recorded version is trace input: a reused one would
@@ -148,6 +139,8 @@ class ActorActivity(Activity):
                         f"activity {acting.id}: send to actor {self.id} at mailbox "
                         f"version {key}, which an earlier send already took"
                     )
+                # The mailbox clock moves as in a recorded send.
+                increment_version(self.mailbox_entity)
             elif ex.mode is REPLAY:  # receiver-side
                 sender = msg.sender_id
                 if msg.promise_message_id is None:
@@ -252,11 +245,7 @@ class ActorActivity(Activity):
     def _execute(self, msg: Message) -> None:
         self.processed_log.append((msg.sender_id, msg.seq))
         try:
-            payload = msg.payload
-            if isinstance(payload, _CallbackInvocation):
-                payload.fn(payload.value)
-            else:
-                self._handler(payload)
+            (msg.callback or self._handler)(msg.payload)
         except (ExecutionAborted, ReplayError):
             # A replay divergence inside the handler (say, a send beyond
             # the recorded ones) aborts the run through run_slice.
@@ -365,7 +354,7 @@ class Promise(VersionedEntity):
         acting = current_activity()
         msg = Message(acting.id, payload, next(acting.msg_seq),
                       promise_message_id=next(acting.promise_msg_counter))
-        self._store_or_forward(None, msg)
+        self._store_or_forward(None, msg, acting)
 
     def when_resolved(self, fn: Callable[[Any], None]) -> None:
         """Run ``fn(value)`` on the registering actor's event loop once
@@ -373,12 +362,12 @@ class Promise(VersionedEntity):
         acting = current_activity()
         if not isinstance(acting, ActorActivity):
             raise UsageError("promise callbacks require an actor activity")
-        msg = Message(acting.id, _CallbackInvocation(fn, None), next(acting.msg_seq),
-                      promise_message_id=next(acting.promise_msg_counter))
-        self._store_or_forward(acting, msg)
+        msg = Message(acting.id, None, next(acting.msg_seq),
+                      promise_message_id=next(acting.promise_msg_counter), callback=fn)
+        self._store_or_forward(acting, msg, acting)
 
-    def _store_or_forward(self, target: Optional[ActorActivity], msg: Message) -> None:
-        acting = current_activity()
+    def _store_or_forward(self, target: Optional[ActorActivity], msg: Message,
+                          acting: Activity) -> None:
         with self._lock:
             if self._stores(acting):
                 if self._traced:
@@ -390,7 +379,7 @@ class Promise(VersionedEntity):
                 return
             if not self._resolved:
                 watchdog_wait(self._monitor, lambda: self._resolved, self.execution)
-        self._forward(target, msg)
+        self._forward(target, msg, acting)
 
     def _stores(self, acting) -> bool:
         """Whether an operation on the promise is stored until resolution
@@ -419,9 +408,10 @@ class Promise(VersionedEntity):
             if self._monitor.parked:
                 self._monitor.notify_all()
         for target, msg in pending:
-            self._forward(target, msg)
+            self._forward(target, msg, acting)
 
-    def _forward(self, target: Optional[ActorActivity], msg: Message) -> None:
+    def _forward(self, target: Optional[ActorActivity], msg: Message,
+                 acting: Activity) -> None:
         if target is None:
             target = self._value
             if not isinstance(target, ActorActivity):
@@ -429,12 +419,12 @@ class Promise(VersionedEntity):
                     "promise carrying pending messages resolved to a non-actor value"
                 )
         else:
-            msg.payload.value = self._value
-        target.enqueue(msg)
+            msg.payload = self._value
+        target.enqueue(msg, acting)
 
 
 def send(target: ActorActivity, payload: Any) -> None:
     """Send a plain message to an actor from any activity."""
     acting = current_activity()
     msg = Message(acting.id, payload, next(acting.msg_seq))
-    target.enqueue(msg)
+    target.enqueue(msg, acting)

@@ -16,57 +16,23 @@ from .sales import sales_pipeline
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """A registered benchmark: entry point plus defaults and metadata."""
+    """A registered benchmark: entry point plus default parameters."""
 
     name: str
     func: Callable[[dict], dict]
-    paradigms: tuple[str, ...]
     defaults: dict = field(default_factory=dict)
-    description: str = ""
 
 
-REGISTRY: dict[str, BenchmarkSpec] = {}
-
-
-def _register(spec: BenchmarkSpec) -> None:
-    REGISTRY[spec.name] = spec
-
-
-_register(BenchmarkSpec(
-    "philosophers-locks", philosophers_locks, ("locks",),
-    {"philosophers": 5, "rounds": 200},
-    "dining philosophers on reentrant locks",
-))
-_register(BenchmarkSpec(
-    "philosophers-stm", philosophers_stm, ("stm",),
-    {"philosophers": 5, "rounds": 200},
-    "dining philosophers as transactions on shared cells",
-))
-_register(BenchmarkSpec(
-    "philosophers-csp", philosophers_csp, ("csp",),
-    {"philosophers": 5, "rounds": 200},
-    "dining philosophers with forks as rendezvous channels",
-))
-_register(BenchmarkSpec(
-    "pingpong-actors", pingpong, ("actors",),
-    {"rounds": 800},
-    "two actors bouncing a counter",
-))
-_register(BenchmarkSpec(
-    "counting-actors", counting, ("actors",),
-    {"count": 1500},
-    "producer floods a counter actor, result returned via promise",
-))
-_register(BenchmarkSpec(
-    "fj-creation-actors", fj_creation, ("actors",),
-    {"fanout": 5, "depth": 3},
-    "fork/join tree of short-lived actors",
-))
-_register(BenchmarkSpec(
-    "sales-pipeline", sales_pipeline, ("actors", "csp", "stm", "locks"),
-    {"records": 50, "projects": 4, "feed_seed": 42},
-    "multi-model sales processing: simulator, CSP JSON parsing, STM storage, threaded forecast",
-))
+REGISTRY: dict[str, BenchmarkSpec] = {spec.name: spec for spec in (
+    BenchmarkSpec("philosophers-locks", philosophers_locks, {"philosophers": 5, "rounds": 200}),
+    BenchmarkSpec("philosophers-stm", philosophers_stm, {"philosophers": 5, "rounds": 200}),
+    BenchmarkSpec("philosophers-csp", philosophers_csp, {"philosophers": 5, "rounds": 200}),
+    BenchmarkSpec("pingpong-actors", pingpong, {"rounds": 800}),
+    BenchmarkSpec("counting-actors", counting, {"count": 1500}),
+    BenchmarkSpec("fj-creation-actors", fj_creation, {"fanout": 5, "depth": 3}),
+    BenchmarkSpec("sales-pipeline", sales_pipeline,
+                  {"records": 50, "projects": 4, "feed_seed": 42}),
+)}
 
 
 def run_benchmark(

@@ -24,6 +24,7 @@ from .activities import (
     Activity,
     ActivityKind,
     ThreadActivity,
+    child_activity_id,
     current_activity,
     set_current_activity,
 )
@@ -173,16 +174,16 @@ class Execution:
             self.strategy = strategy or ActorStrategy.SENDER_SIDE
             if self.mode is ExecutionMode.RECORD:
                 if isinstance(sink, TraceSink):
-                    sink.strategy_flags = strategy_to_flags(self.strategy)
                     self.sink = sink
                 elif sink == "discard":
                     self.sink = DiscardSink()
                 elif sink == "file":
                     if trace_path is None:
                         raise UsageError("recording to a file needs a trace path")
-                    self.sink = FileSink(trace_path, strategy_to_flags(self.strategy))
+                    self.sink = FileSink(trace_path)
                 else:
                     raise UsageError(f"unknown sink kind {sink!r}")
+                self.sink.start(strategy_to_flags(self.strategy))
 
         self.actor_pool = ActorPool(self, pool_size or _default_pool_size())
         self.commit_point = CommitPoint(self)
@@ -233,13 +234,13 @@ class Execution:
         activity creation immediately.
         """
         parent = current_activity()
-        child_id, code, length = parent.next_child_id()
+        child_id = child_activity_id(parent.id, next(parent.spawn_counter))
         record_interaction(parent, ACTIVITY_SPAWN, child_id)
         if kind is ActivityKind.ACTOR:
-            child: Activity = ActorActivity(self, child_id, entry, code, length, name)
+            child: Activity = ActorActivity(self, child_id, entry, name)
             self.actor_pool.start()
         else:
-            child = ThreadActivity(self, child_id, kind, entry, args, code, length, name)
+            child = ThreadActivity(self, child_id, kind, entry, args, name)
             with self.live_lock:
                 self.live += 1
             child.start()

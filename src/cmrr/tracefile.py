@@ -136,7 +136,16 @@ def parse_trace_bytes(data: bytes, path: str = "") -> TraceFile:
 
 
 class TraceSink:
-    """Destination for flushed record buffers; safe to call from any activity."""
+    """Destination for flushed record buffers; safe to call from any activity.
+
+    A recording ``Execution`` calls ``start`` once, before the first chunk,
+    with its strategy's header flags.
+    """
+
+    strategy_flags = 0
+
+    def start(self, strategy_flags: int) -> None:
+        self.strategy_flags = strategy_flags
 
     def submit(self, activity_id: int, payload: bytes) -> None:
         raise NotImplementedError
@@ -155,20 +164,23 @@ class DiscardSink(TraceSink):
 class FileSink(TraceSink):
     """Appends chunks to a trace file synchronously, in the flushing activity.
 
-    The header goes out immediately so a crash mid-run still leaves a
-    parseable prefix. Chunk order in the file is hand-off order, which is
-    irrelevant to parsing (queues are per-activity). The first write error
-    stops further writes and is raised by ``close``, at the end of the run:
-    raised in the flushing activity, an actor handler would swallow it.
+    The header goes out at ``start``, before any chunk, so a crash mid-run
+    still leaves a parseable prefix. Chunk order in the file is hand-off
+    order, which is irrelevant to parsing (queues are per-activity). The
+    first write error stops further writes and is raised by ``close``, at
+    the end of the run: raised in the flushing activity, an actor handler
+    would swallow it.
     """
 
-    def __init__(self, path: str, strategy_flags: int):
+    def __init__(self, path: str):
         self.path = path
         self._fh = open(path, "wb")
-        write_header(self._fh, strategy_flags)
         self._lock = threading.Lock()
         self._error: OSError | None = None
         self.chunks_written = 0
+
+    def start(self, strategy_flags: int) -> None:
+        write_header(self._fh, strategy_flags)
 
     def submit(self, activity_id: int, payload: bytes) -> None:
         with self._lock:
@@ -187,10 +199,7 @@ class FileSink(TraceSink):
 
 
 class MemorySink(TraceSink):
-    """Collects chunks in memory; test hook mirroring the file layout. An
-    ``Execution`` given the sink stamps its strategy's flags on it."""
-
-    strategy_flags = 0
+    """Collects chunks in memory; test hook mirroring the file layout."""
 
     def __init__(self):
         self.chunks: list[tuple[int, bytes]] = []

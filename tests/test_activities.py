@@ -23,8 +23,8 @@ from conftest import record_run, replay_run
 
 
 def test_first_child_id_is_stable():
-    first, _, _ = child_activity_id(0, 0, 0)
-    again, _, _ = child_activity_id(0, 0, 0)
+    first = child_activity_id(0, 0)
+    again = child_activity_id(0, 0)
     assert first == again
     assert first != 0  # distinct from the root
 
@@ -32,27 +32,26 @@ def test_first_child_id_is_stable():
 def test_id_encoding_injective_over_random_spawn_trees():
     rng = random.Random(99)
     for _ in range(50):
-        seen = {0: (0, 0)}  # id -> (code, len); root pre-seeded
         ids = {0}
         # random tree: repeatedly pick an existing node and add children
-        nodes = [(0, 0, 0)]  # (id, code, len), with a live spawn counter each
-        counters = {0: 0}
+        nodes = [0]
+        counters = {0: 0}  # a live spawn counter per node
         for _ in range(rng.randrange(10, 120)):
-            node_id, code, length = rng.choice(nodes)
+            node_id = rng.choice(nodes)
             counter = counters[node_id]
             counters[node_id] += 1
-            child, child_code, child_len = child_activity_id(code, length, counter)
+            child = child_activity_id(node_id, counter)
             assert child not in ids, "collision in spawn-path encoding"
             ids.add(child)
-            nodes.append((child, child_code, child_len))
+            nodes.append(child)
             counters[child] = 0
 
 
 def test_id_encoding_overflow_detected():
-    code, length = 0, 0
+    activity_id = 0
     with pytest.raises(OverflowError):
         for _ in range(40):
-            _, code, length = child_activity_id(code, length, 0)
+            activity_id = child_activity_id(activity_id, 0)
 
 
 def test_spawn_records_one_event_per_child(trace_path):
@@ -96,14 +95,14 @@ def test_replay_detects_spawn_tree_divergence(trace_path):
         spawn_thread(lambda: None).join()
 
     record_run(flat, trace_path)
-    middle_id = child_activity_id(0, 0, 0)[0]
+    middle_id = child_activity_id(0, 0)
     with pytest.raises(ReplayQueueExhausted, match=(
             rf"^activity {middle_id}: expected ACTIVITY_SPAWN, trace is exhausted$")):
         replay_run(nested, trace_path)
 
     # A trace in which main spawned its two children the other way round.
     main_events = parse_trace(trace_path).queues[0].events
-    first, second = (child_activity_id(0, 0, n)[0] for n in range(2))
+    first, second = (child_activity_id(0, n) for n in range(2))
     assert [e.data for e in main_events] == [first, second]
     write_trace(trace_path, 0, [(0, b"".join(encode_event(e) for e in main_events[::-1]))])
     with pytest.raises(ReplayTypeMismatch) as info:

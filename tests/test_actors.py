@@ -33,7 +33,7 @@ from cmrr.errors import (
     UsageError,
 )
 from cmrr.tracefile import write_trace
-from conftest import passive_run, record_run, replay_run
+from conftest import passive_run, patch_bindings, record_run, replay_run
 
 
 def _counts(trace, activity_id):
@@ -515,6 +515,41 @@ def test_actor_keeps_under_thirty_instance_attributes(trace_path, strategy, seed
     for mode in ("passive", "record", "replay"):
         Execution(mode, strategy=strategy, trace_path=trace_path, perturb=perturb).run(program)
         assert len(vars(actors[-1])) < 30, (mode, sorted(vars(actors[-1])))
+
+
+def test_a_send_looks_its_sender_up_once(monkeypatch):
+    """``send``, ``Promise.send`` and ``Promise.resolve`` each look up the
+    current activity once and hand it down to the actor's mailbox."""
+    from cmrr import activities
+
+    original = activities.current_activity
+    lookups = []
+
+    def counting_lookup():
+        lookups.append(1)
+        return original()
+
+    def counted(operation) -> int:
+        del lookups[:]
+        with monkeypatch.context() as patch:
+            patch_bindings(patch, original, counting_lookup)
+            operation()
+        return len(lookups)
+
+    def program():
+        received = []  # the handler itself looks nothing up
+        actor = spawn_actor(received.append)
+        stored, forwarded = Promise(), Promise()
+        forwarded.resolve(actor)
+        return {
+            "sends": counted(lambda: [send(actor, n) for n in range(20)]),
+            "stored": counted(lambda: stored.send("early")),
+            "resolve": counted(lambda: stored.resolve(actor)),
+            "forwarded": counted(lambda: forwarded.send("late")),
+        }
+
+    _, result = passive_run(program)
+    assert result.outputs == {"sends": 20, "stored": 1, "resolve": 1, "forwarded": 1}
 
 
 def _assert_aborted_run_returns(mode, program):

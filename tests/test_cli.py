@@ -196,7 +196,7 @@ def test_self_join_is_a_usage_error(monkeypatch, capsys):
         spawn_thread(lambda: current_activity().join()).join()
 
     monkeypatch.setitem(bench.REGISTRY, "self-join",
-                        BenchmarkSpec("self-join", self_join, ("threads",)))
+                        BenchmarkSpec("self-join", self_join))
     code, out, err = _run(capsys, "run", "self-join")
     assert code == EXIT_FORMAT
     assert out == ""

@@ -91,6 +91,21 @@ def test_memory_sink_carries_the_strategy(tmp_path, strategy):
     assert replayed.digest == recorded.digest
 
 
+@pytest.mark.parametrize("strategy", ["sender", "receiver"])
+def test_file_sink_instance_carries_the_strategy(tmp_path, strategy):
+    """A ``FileSink`` handed to the execution writes the run's strategy into
+    its header, so the file replays to the recorded digest."""
+    spec = bench.REGISTRY["pingpong-actors"]
+    params = dict(spec.defaults, rounds=20)
+    path = str(tmp_path / "file.trc")
+    recorded = Execution("record", strategy=strategy,
+                         sink=tracefile.FileSink(path)).run(spec.func, params)
+    assert parse_trace(path).strategy.name == f"{strategy.upper()}_SIDE"
+    replayed = Execution("replay", trace_path=path).run(spec.func, params)
+    assert replayed.digest == recorded.digest
+    assert replayed.actor_logs == recorded.actor_logs
+
+
 def test_execution_runs_exactly_once():
     ex = Execution(ExecutionMode.PASSIVE)
     ex.run(lambda: None)
