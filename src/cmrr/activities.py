@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import count
 from typing import TYPE_CHECKING, Optional
 
-from .errors import ExecutionAborted, NotAnActivity, UsageError
+from .errors import NotAnActivity, UsageError
 from .tracing import RecordBuffer, ReplayQueue, watchdog_wait
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,8 +121,6 @@ class ThreadActivity(Activity):
         ex = self.execution
         try:
             self._entry(*self._args)
-        except ExecutionAborted:
-            pass
         except BaseException as exc:  # noqa: BLE001 - first failure aborts the run
             ex.abort(exc)
         finally:

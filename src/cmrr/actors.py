@@ -96,11 +96,14 @@ class ActorActivity(Activity):
         # mailbox version under sender-side replay; under receiver-side
         # replay ``(sender_id, n)`` for the sender's n-th plain message to
         # the actor, or ``(sender_id, "promise", promise_message_id)``;
-        # otherwise the arrival index. ``_next`` is the key the drain takes
-        # next; under receiver-side replay it is read from the trace head.
+        # otherwise the arrival index, ``_next + len(_mail)``. ``_next`` is
+        # the key the drain takes next; under receiver-side replay it is
+        # read from the trace head.
         self._mail: dict[Any, Message] = {}
-        self._arrivals = 0
-        self._arrived_from, self._taken_from = Counter(), Counter()
+        # Per sender, its plain messages that arrived (receiver-side replay)
+        # or its last send's version (sender-side); a dict reads faster.
+        self._arrived_from: dict[int, int] = {}
+        self._taken_from = Counter()
         by_sender = (execution.mode is REPLAY
                      and execution.strategy is RECEIVER_SIDE)
         self._next = self._head_key() if by_sender else 0
@@ -123,34 +126,39 @@ class ActorActivity(Activity):
         recorded = sender_side and ex.mode is RECORD
         if not recorded:  # else record_interaction perturbs
             acting.perturb_point()
-        replayed = sender_side and ex.mode is REPLAY
-        if replayed:
-            # Non-blocking by design: attach the recorded version instead
-            # of delaying the send, so pool workers can always run.
-            queue = acting.replay_queue
-            key = queue.expect(MSG_SEND)[1]
-            queue.advance()
         with self._mailbox_lock:
-            if replayed:
-                # The recorded version is trace input: a reused one would
-                # overwrite a pending message or never be drained.
+            if sender_side and ex.mode is REPLAY:
+                # Non-blocking by design: attach the recorded version instead
+                # of delaying the send, so pool workers can always run.
+                queue = acting.replay_queue
+                key = queue.expect(MSG_SEND)[1]
+                queue.advance()
+                # The version is trace input: a reused one would overwrite a
+                # pending message or never be drained, and one not above the
+                # sender's last holds a send order that no recording can.
                 if key < self._next or key in self._mail:
                     raise ReplayTypeMismatch(
                         f"activity {acting.id}: send to actor {self.id} at mailbox "
                         f"version {key}, which an earlier send already took"
                     )
+                last = self._arrived_from.get(acting.id, -1)
+                if key <= last:
+                    raise ReplayTypeMismatch(
+                        f"activity {acting.id}: send to actor {self.id} at mailbox "
+                        f"version {key}, after its send at version {last}"
+                    )
+                self._arrived_from[acting.id] = key
                 # The mailbox clock moves as in a recorded send.
                 increment_version(self.mailbox_entity)
             elif ex.mode is REPLAY:  # receiver-side
                 sender = msg.sender_id
                 if msg.promise_message_id is None:
-                    key = (sender, self._arrived_from[sender])
-                    self._arrived_from[sender] += 1
+                    key = (sender, self._arrived_from.get(sender, 0))
+                    self._arrived_from[sender] = key[1] + 1
                 else:
                     key = (sender, "promise", msg.promise_message_id)
             else:
-                key = self._arrivals
-                self._arrivals += 1
+                key = self._next + len(self._mail)
                 if recorded:
                     # The arrival index is the mailbox version here.
                     record_interaction(acting, MSG_SEND, key)
@@ -173,8 +181,6 @@ class ActorActivity(Activity):
         set_current_activity(self)
         try:
             self._drain()
-        except ExecutionAborted:
-            pass
         except BaseException as exc:  # noqa: BLE001 - replay divergence etc.
             self.execution.abort(exc)
         finally:

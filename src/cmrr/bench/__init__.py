@@ -7,8 +7,7 @@ from typing import Callable, Optional
 
 from ..errors import UsageError
 from ..runtime import Execution, PerturbationPlan, RunResult
-from ..tracefile import ActorStrategy
-from ..tracing import DEFAULT_WATCHDOG_SECONDS, ExecutionMode
+from ..tracing import ExecutionMode
 from .actor_suite import counting, fj_creation, pingpong
 from .philosophers import philosophers_csp, philosophers_locks, philosophers_stm
 from .sales import sales_pipeline
@@ -35,20 +34,13 @@ REGISTRY: dict[str, BenchmarkSpec] = {spec.name: spec for spec in (
 )}
 
 
-def run_benchmark(
-    name: str,
-    mode: ExecutionMode | str,
-    strategy: ActorStrategy | str | None = None,
-    trace_path: Optional[str] = None,
-    sink: str = "file",
-    seed: Optional[int] = None,
-    params: Optional[dict] = None,
-    watchdog_seconds: float = DEFAULT_WATCHDOG_SECONDS,
-    pool_size: Optional[int] = None,
-) -> RunResult:
+def run_benchmark(name: str, mode: ExecutionMode | str, seed: Optional[int] = None,
+                  params: Optional[dict] = None, **options) -> RunResult:
     """Run one registered benchmark under the given execution mode.
 
-    An unknown benchmark name or parameter key raises ``UsageError``.
+    ``seed`` selects a ``PerturbationPlan``; ``options`` are passed to
+    ``Execution`` as they are. An unknown benchmark name or parameter key
+    raises ``UsageError``.
     """
     spec = REGISTRY.get(name)
     if spec is None:
@@ -60,13 +52,4 @@ def run_benchmark(
                              f"known: {', '.join(spec.defaults)}")
         merged[key] = value
     perturb = PerturbationPlan(seed) if seed is not None else None
-    execution = Execution(
-        mode,
-        strategy=strategy,
-        trace_path=trace_path,
-        sink=sink,
-        watchdog_seconds=watchdog_seconds,
-        pool_size=pool_size,
-        perturb=perturb,
-    )
-    return execution.run(spec.func, merged)
+    return Execution(mode, perturb=perturb, **options).run(spec.func, merged)

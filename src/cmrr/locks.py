@@ -227,7 +227,7 @@ class RRCondition:
                 deadline = time.monotonic() + timeout
                 while not waiter.signaled:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    if not remaining > 0:  # also times out on nan
                         self._wait_queue.remove(waiter)
                         lock._implicit_queue.append(waiter)
                         break
@@ -246,27 +246,25 @@ class RRCondition:
 
     def signal(self) -> None:
         """Wake the longest-waiting waiter; no event is recorded."""
-        lock = self._lock
-        act = current_activity()
-        with lock._lock:
-            if lock._owner is not act:
-                raise NotOwner(f"{act.name} does not hold the condition's lock")
-            if self._wait_queue:
-                waiter = self._wait_queue.popleft()
-                waiter.signaled = True
-                lock._implicit_queue.append(waiter)
-                if lock._monitor.parked:
-                    lock._monitor.notify_all()
+        self._signal(every=False)
 
     def signal_all(self) -> None:
         """Wake all waiters, preserving their waiting order."""
+        self._signal(every=True)
+
+    def _signal(self, every: bool) -> None:
+        """Move the longest-waiting waiter, or ``every`` one in order, to
+        the lock's implicit queue; the caller must hold the lock."""
         lock = self._lock
         act = current_activity()
         with lock._lock:
             if lock._owner is not act:
                 raise NotOwner(f"{act.name} does not hold the condition's lock")
-            while self._wait_queue:
-                waiter = self._wait_queue.popleft()
+            waiters = self._wait_queue
+            if not waiters:
+                return
+            for _ in range(len(waiters) if every else 1):
+                waiter = waiters.popleft()
                 waiter.signaled = True
                 lock._implicit_queue.append(waiter)
             if lock._monitor.parked:

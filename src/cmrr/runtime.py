@@ -46,7 +46,6 @@ from .tracefile import (
     strategy_to_flags,
 )
 from .tracing import (
-    DEFAULT_FLUSH_THRESHOLD,
     DEFAULT_WATCHDOG_SECONDS,
     ExecutionMode,
     Monitor,
@@ -116,7 +115,6 @@ class Execution:
         watchdog_seconds: float = DEFAULT_WATCHDOG_SECONDS,
         pool_size: Optional[int] = None,
         perturb: Optional[PerturbationPlan] = None,
-        flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
     ):
         if pool_size is not None and pool_size < 1:
             raise UsageError(f"actor pool size must be at least 1, got {pool_size}")
@@ -133,7 +131,6 @@ class Execution:
                     f"unknown actor strategy {strategy!r}; expected sender or receiver")
             strategy = ActorStrategy[f"{strategy.upper()}_SIDE"]
         self.watchdog_seconds = watchdog_seconds
-        self.flush_threshold = flush_threshold
         self.trace_path = trace_path
         self.perturb = perturb
         # Counts every globally visible step; replay's deadlock watchdog
@@ -200,7 +197,7 @@ class Execution:
                 raise UsageError(f"duplicate activity id {activity.id}")
             self.activities[activity.id] = activity
         if self.mode is ExecutionMode.RECORD:
-            activity.buffer = RecordBuffer(activity.id, self.sink, self.flush_threshold)
+            activity.buffer = RecordBuffer(activity.id, self.sink)
         elif self.mode is ExecutionMode.REPLAY:
             queue = self._queues.get(activity.id)
             if queue is None:
@@ -211,7 +208,8 @@ class Execution:
             activity.perturb_point = self.perturb.point_for(activity.id)
 
     def abort(self, exc: BaseException) -> None:
-        """Remember the first failure and wake everything blocked on it."""
+        """Remember the first failure and wake everything blocked on it.
+        Ignores ``ExecutionAborted``, which a wait raises after a failure."""
         if isinstance(exc, ExecutionAborted):
             return
         with self._abort_lock:
@@ -264,8 +262,6 @@ class Execution:
         outputs = None
         try:
             outputs = entry(*args)
-        except ExecutionAborted:
-            pass
         except BaseException as exc:  # noqa: BLE001
             self.abort(exc)
         finally:
@@ -274,8 +270,6 @@ class Execution:
         try:
             with self.live_lock:
                 watchdog_wait(self.live_monitor, lambda: not self.live, self)
-        except ExecutionAborted:
-            pass
         except BaseException as exc:  # noqa: BLE001
             self.abort(exc)
         self.actor_pool.shutdown()

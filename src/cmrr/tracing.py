@@ -42,7 +42,7 @@ from .events import EventType, TraceEvent, describe, pack_event
 if TYPE_CHECKING:  # pragma: no cover
     from .activities import Activity
 
-DEFAULT_FLUSH_THRESHOLD = 4096
+FLUSH_THRESHOLD = 4096
 DEFAULT_WATCHDOG_SECONDS = 30.0
 
 # How often blocked waiters re-check the watchdog and abort flag. Waits
@@ -81,15 +81,14 @@ PASSIVE, RECORD, REPLAY = ExecutionMode
 class RecordBuffer:
     """Growable octet buffer holding whole 9-octet events.
 
-    Written only by its owning activity. When the buffer exceeds the
-    flush threshold (or the activity terminates) the content is handed
-    off to the trace sink as one chunk; chunks never split an event.
+    Written only by its owning activity. When the buffer reaches
+    ``FLUSH_THRESHOLD`` octets (or the activity terminates) the content is
+    handed off to the trace sink as one chunk; chunks never split an event.
     """
 
-    def __init__(self, owner_id: int, sink, flush_threshold: int = DEFAULT_FLUSH_THRESHOLD):
+    def __init__(self, owner_id: int, sink):
         self.owner_id = owner_id
         self._sink = sink
-        self._flush_threshold = flush_threshold
         self._data = bytearray()
 
     def __len__(self) -> int:
@@ -97,7 +96,7 @@ class RecordBuffer:
 
     def put(self, event_type: int, data: int) -> None:
         self._data += pack_event(event_type, data)
-        if len(self._data) >= self._flush_threshold:
+        if len(self._data) >= FLUSH_THRESHOLD:
             self.flush()
 
     def flush(self) -> None:

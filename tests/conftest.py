@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from cmrr import Execution, ExecutionMode
+from cmrr import Execution, ExecutionMode, encode_event, parse_trace
+from cmrr.tracefile import write_trace
 
 
 @pytest.fixture
@@ -28,6 +29,16 @@ def replay_run(program, trace_path, *args, seed=None, watchdog=5.0, **kwargs):
     ex = Execution(ExecutionMode.REPLAY, trace_path=trace_path,
                    watchdog_seconds=watchdog, perturb=perturb, **kwargs)
     return ex, ex.run(program, *args)
+
+
+def rewrite_trace(path, edit) -> None:
+    """Rewrite the trace file at ``path`` in place: each activity's events
+    become ``edit(activity_id, events)``, called with a list of its
+    ``TraceEvent``s; the header keeps its strategy flags."""
+    trace = parse_trace(path)
+    chunks = [(activity_id, b"".join(map(encode_event, edit(activity_id, list(queue.events)))))
+              for activity_id, queue in trace.queues.items()]
+    write_trace(path, trace.strategy_flags, chunks)
 
 
 def passive_run(program, *args, **kwargs):

@@ -10,8 +10,6 @@ import statistics
 import time
 from collections import Counter
 
-import pytest
-
 from cmrr import (
     Channel,
     EventType,

@@ -11,15 +11,13 @@ from cmrr import (
     ExecutionMode,
     MemorySink,
     current_activity,
-    encode_event,
     parse_trace,
     spawn_actor,
     spawn_thread,
 )
 from cmrr.activities import child_activity_id
 from cmrr.errors import ReplayError, ReplayQueueExhausted, ReplayTypeMismatch
-from cmrr.tracefile import write_trace
-from conftest import record_run, replay_run
+from conftest import record_run, replay_run, rewrite_trace
 
 
 def test_first_child_id_is_stable():
@@ -101,10 +99,13 @@ def test_replay_detects_spawn_tree_divergence(trace_path):
         replay_run(nested, trace_path)
 
     # A trace in which main spawned its two children the other way round.
-    main_events = parse_trace(trace_path).queues[0].events
     first, second = (child_activity_id(0, n) for n in range(2))
-    assert [e.data for e in main_events] == [first, second]
-    write_trace(trace_path, 0, [(0, b"".join(encode_event(e) for e in main_events[::-1]))])
+
+    def reverse_spawns(activity_id, events):
+        assert activity_id == 0 and [e.data for e in events] == [first, second]
+        return events[::-1]
+
+    rewrite_trace(trace_path, reverse_spawns)
     with pytest.raises(ReplayTypeMismatch) as info:
         replay_run(flat, trace_path)
     assert str(info.value) == (f"activity 0: ACTIVITY_SPAWN(data={first}), "

@@ -18,8 +18,6 @@ from cmrr import (
     PerturbationPlan,
     Promise,
     TraceEvent,
-    current_activity,
-    encode_event,
     parse_trace,
     send,
     spawn_actor,
@@ -32,8 +30,7 @@ from cmrr.errors import (
     ReplayTypeMismatch,
     UsageError,
 )
-from cmrr.tracefile import write_trace
-from conftest import passive_run, patch_bindings, record_run, replay_run
+from conftest import passive_run, patch_bindings, record_run, replay_run, rewrite_trace
 
 
 def _counts(trace, activity_id):
@@ -367,48 +364,55 @@ def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritt
         latch.wait()
 
     record_run(program, trace_path, strategy=strategy)
-    trace = parse_trace(trace_path)
-    chunks, rewritten_id = [], None
-    for activity_id, queue in trace.queues.items():
-        events = list(queue.events)
+    rewritten_ids = []
+
+    def edit(activity_id, events):
         index = next((i for i, e in enumerate(events) if e.event_type == rewritten
                       and (after is None or i > 0 and events[i - 1].event_type == after)), None)
-        if rewritten_id is None and index is not None:
-            rewritten_id = activity_id
+        if not rewritten_ids and index is not None:
+            rewritten_ids.append(activity_id)
             events[index] = TraceEvent(EventType.LOCK, events[index].data)
-        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
-    write_trace(trace_path, trace.strategy_flags, chunks)
+        return events
 
+    rewrite_trace(trace_path, edit)
     start = time.monotonic()
     with pytest.raises(ReplayTypeMismatch,
-                       match=rf"^activity {rewritten_id}: expected .*, trace holds LOCK"):
+                       match=rf"^activity {rewritten_ids[0]}: expected .*, trace holds LOCK"):
         replay_run(program, trace_path, watchdog=3.0)
     assert time.monotonic() - start < 1.0
 
 
-def test_duplicate_recorded_send_version_fails_at_once(trace_path):
-    """Two sends recorded at one mailbox version fail the replay at the
+@pytest.mark.parametrize("swap", [False, True], ids=["duplicate", "swap"])
+def test_duplicate_recorded_send_version_fails_at_once(trace_path, swap):
+    """Two sends recorded at one mailbox version, or one sender's first two
+    sends to an actor recorded in swapped order, fail the replay at the
     second send, naming the sender, the target actor and the version."""
     from cmrr import bench
 
     params = {"count": 20}
     bench.run_benchmark("counting-actors", "record", strategy="sender",
                         trace_path=trace_path, params=params)
-    trace = parse_trace(trace_path)
-    chunks, sender_id, version = [], None, None
-    for activity_id, queue in trace.queues.items():
-        events = list(queue.events)
-        sends = [i for i, e in enumerate(events) if e.event_type == EventType.MSG_SEND]
-        if sender_id is None and len(sends) >= 2:
-            sender_id, version = activity_id, events[sends[0]].data
-            events[sends[1]] = TraceEvent(EventType.MSG_SEND, version)
-        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
-    write_trace(trace_path, trace.strategy_flags, chunks)
+    # The producer's first two sends, both to the counter.
+    rewritten = []
 
+    def edit(activity_id, events):
+        sends = [i for i, e in enumerate(events) if e.event_type == EventType.MSG_SEND]
+        if not rewritten and len(sends) >= 2:
+            first, second = (events[i].data for i in sends[:2])
+            rewritten.append((activity_id, first, second))
+            events[sends[1]] = TraceEvent(EventType.MSG_SEND, first)
+            if swap:
+                events[sends[0]] = TraceEvent(EventType.MSG_SEND, second)
+        return events
+
+    rewrite_trace(trace_path, edit)
+    sender_id, first, second = rewritten[0]
+    expected = (f"after its send at version {second}$" if swap
+                else "which an earlier send already took$")
     start = time.monotonic()
     with pytest.raises(ReplayTypeMismatch,
                        match=rf"^activity {sender_id}: send to actor \d+ at mailbox "
-                             rf"version {version}\b"):
+                             rf"version {first}, {expected}"):
         bench.run_benchmark("counting-actors", "replay", trace_path=trace_path,
                             params=params, watchdog_seconds=3)
     assert time.monotonic() - start < 1.0

@@ -3,8 +3,6 @@
 import time
 from collections import Counter
 
-import pytest
-
 from cmrr import Channel, EventType, bench, parse_trace, spawn_process
 from conftest import count_watchdog_waits, passive_run, record_run, replay_run
 

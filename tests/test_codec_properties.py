@@ -6,12 +6,13 @@ TraceFormatError.
 """
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmrr import EVENT_SIZE, EventType, Execution, MemorySink, TraceEvent, bench
+from cmrr import EVENT_SIZE, EventType, Execution, MemorySink, TraceEvent, bench, tracing
 from cmrr.errors import TraceFormatError
 from cmrr.events import decode_event, decode_payload, encode_event, pack_event
 from cmrr.tracefile import parse_trace_bytes
@@ -78,7 +79,8 @@ def _small_recorded_trace() -> bytes:
     spec = bench.REGISTRY["sales-pipeline"]
     sink = MemorySink()
     params = dict(spec.defaults, records=12, projects=3)
-    Execution("record", sink=sink, flush_threshold=45).run(spec.func, params)
+    with mock.patch.object(tracing, "FLUSH_THRESHOLD", 45):
+        Execution("record", sink=sink).run(spec.func, params)
     return sink.as_bytes()
 
 

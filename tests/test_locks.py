@@ -1,5 +1,6 @@
 """Lock acquisition order, condition waits, and timed-wait outcome replay."""
 
+import threading
 import time
 
 import pytest
@@ -9,13 +10,11 @@ from cmrr import (
     RRCondition,
     RRLock,
     TraceEvent,
-    encode_event,
     parse_trace,
     spawn_thread,
 )
 from cmrr.errors import NotOwner, ReplayTypeMismatch
-from cmrr.tracefile import write_trace
-from conftest import count_watchdog_waits, passive_run, record_run, replay_run
+from conftest import count_watchdog_waits, passive_run, record_run, replay_run, rewrite_trace
 
 
 def _type_counts(trace, activity_id):
@@ -280,22 +279,51 @@ def test_wait_timeout_outcomes_replay_without_waiting(trace_path):
         assert replayed.digest == recorded.digest
 
 
+def _nan_wait_program():
+    lock = RRLock()
+    cond = RRCondition(lock)
+    with lock:
+        return cond.wait_timeout(float("nan"))
+
+
+@pytest.mark.parametrize("mode", ["passive", "record"])
+def test_nan_timed_wait_times_out_at_once(trace_path, mode):
+    """A NaN timeout times out at once, as ``threading.Condition.wait``
+    does, instead of waiting for a signal that never comes. The run goes
+    in a daemon thread, so that a wait that hangs fails the test."""
+    runs = []
+    runner = threading.Thread(daemon=True, target=lambda: runs.append(
+        passive_run(_nan_wait_program) if mode == "passive"
+        else record_run(_nan_wait_program, trace_path)))
+    runner.start()
+    runner.join(1.0)
+    assert not runner.is_alive(), "the NaN wait is still blocked after 1 s"
+    [(_, result)] = runs
+    assert result.outputs is False
+    if mode == "record":
+        assert _type_counts(parse_trace(trace_path), 0) == {
+            EventType.LOCK: 1, EventType.AWAIT_TIMEOUT: 1}
+        _, replayed = replay_run(_nan_wait_program, trace_path)
+        assert replayed.outputs is False
+        assert replayed.digest == result.digest
+
+
 @pytest.mark.parametrize("shift", [1, 5])
 def test_replayed_signal_at_wrong_version_is_reported(trace_path, shift):
     """A timed wait whose recorded AWAIT_SIGNALED version was changed fails
     the replay instead of reacquiring silently at another version."""
     ex, recorded = record_run(_timeout_program, trace_path)
-    chunks = []
-    for activity_id, queue in parse_trace(trace_path).queues.items():
-        events = []
-        for event in queue.events:
-            if event.event_type == EventType.AWAIT_SIGNALED:
-                waiter_id, actual = activity_id, event.data
-                event = TraceEvent(event.event_type, event.data + shift)
-            events.append(event)
-        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
-    write_trace(trace_path, 0, chunks)
+    signaled = []
 
+    def edit(activity_id, events):
+        for i, event in enumerate(events):
+            if event.event_type == EventType.AWAIT_SIGNALED:
+                signaled.append((activity_id, event.data))
+                events[i] = TraceEvent(event.event_type, event.data + shift)
+        return events
+
+    rewrite_trace(trace_path, edit)
+    [(waiter_id, actual)] = signaled
     lock_id = next(e.entity_id for e in ex.entities if e.kind == "lock")
     start = time.monotonic()
     with pytest.raises(ReplayTypeMismatch) as info:

@@ -1,13 +1,11 @@
 """The three framework primitives and the per-activity buffers/queues."""
 
-import threading
 import time
 
 import pytest
 from conftest import patch_bindings
 
 from cmrr import (
-    Channel,
     EventType,
     Execution,
     ExecutionMode,
@@ -21,7 +19,7 @@ from cmrr import (
     encode_event,
     increment_version,
     record_interaction,
-    spawn_process,
+    tracing,
 )
 from cmrr.errors import (
     NotAnActivity,
@@ -29,7 +27,7 @@ from cmrr.errors import (
     ReplayQueueExhausted,
     ReplayTypeMismatch,
 )
-from cmrr.tracefile import parse_trace, write_trace
+from cmrr.tracefile import write_trace
 from cmrr.tracing import RecordBuffer, ReplayQueue
 
 
@@ -259,40 +257,15 @@ def test_watchdog_raises_replay_deadlock(tmp_path):
     assert time.monotonic() - start < 5.0
 
 
-def test_channel_replay_with_bumped_version_deadlocks(tmp_path):
-    def program():
-        ch = Channel()
-        reader = spawn_process(lambda: ch.read())
-        ch.write("m")
-        reader.join()
-        return reader.id
-
-    path = str(tmp_path / "channel.trc")
-    reader_id = Execution(ExecutionMode.RECORD, trace_path=path).run(program).outputs
-    chunks = []
-    for activity_id, queue in parse_trace(path).queues.items():
-        events = list(queue.events)
-        if activity_id == reader_id:
-            assert events == [TraceEvent(EventType.CHANNEL_READ, 0)]
-            events = [TraceEvent(EventType.CHANNEL_READ, 1)]
-        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
-    write_trace(path, 0, chunks)
-
-    ex = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=3.0)
-    start = time.monotonic()
-    with pytest.raises(ReplayDeadlock):
-        ex.run(program)
-    assert time.monotonic() - start < 6.0
-
-
-def test_record_buffer_flush_threshold():
+def test_record_buffer_flush_threshold(monkeypatch):
+    monkeypatch.setattr(tracing, "FLUSH_THRESHOLD", 45)
     chunks = []
 
     class Sink:
         def submit(self, activity_id, payload):
             chunks.append((activity_id, payload))
 
-    buffer = RecordBuffer(9, Sink(), flush_threshold=45)
+    buffer = RecordBuffer(9, Sink())
     for i in range(6):
         buffer.put(EventType.LOCK, i)
     assert len(chunks) == 1

@@ -17,7 +17,7 @@ from cmrr import (
     parse_trace,
     spawn_thread,
 )
-from cmrr import bench, tracefile
+from cmrr import bench, tracefile, tracing
 from cmrr.errors import ReplayLeftoverEvents, UsageError
 from cmrr.tracefile import TraceSink, parse_trace_bytes
 from conftest import record_run, replay_run
@@ -54,9 +54,10 @@ def test_replay_with_fewer_operations_reports_leftover_events(trace_path):
         replay_run(_solo_lock_rounds, trace_path, 3)
 
 
-def test_small_flush_threshold_produces_parseable_multi_chunk_trace(trace_path):
+def test_small_flush_threshold_produces_parseable_multi_chunk_trace(trace_path, monkeypatch):
     # 27-octet threshold forces a flush every third event per activity
-    ex, recorded = record_run(_lock_rounds, trace_path, 20, flush_threshold=27)
+    monkeypatch.setattr(tracing, "FLUSH_THRESHOLD", 27)
+    ex, recorded = record_run(_lock_rounds, trace_path, 20)
     trace = parse_trace(trace_path)
     assert trace.chunk_count > 3
     total_locks = sum(

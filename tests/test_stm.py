@@ -1,7 +1,6 @@
 """Transaction isolation, conflict retry, and commit-order replay."""
 
 import threading
-import time
 from collections import Counter
 
 import pytest

@@ -23,9 +23,7 @@ from cmrr import (
     TraceEvent,
     VersionedEntity,
     bench,
-    encode_event,
     increment_version,
-    parse_trace,
     send,
     spawn_actor,
     spawn_process,
@@ -33,8 +31,8 @@ from cmrr import (
 )
 from cmrr.activities import ThreadActivity
 from cmrr.errors import ReplayDeadlock
-from cmrr.tracefile import write_trace
 from cmrr.tracing import watchdog_wait
+from conftest import rewrite_trace
 
 
 def test_uncontended_operations_make_no_notify_calls(monkeypatch):
@@ -189,16 +187,18 @@ def test_no_monitor_stays_parked_after_a_replay_deadlock(tmp_path):
 
     path = str(tmp_path / "channel.trc")
     reader_id = Execution(ExecutionMode.RECORD, trace_path=path).run(program).outputs
-    # Bump the reader's rendezvous version: writer and reader both park.
-    chunks = []
-    for activity_id, queue in parse_trace(path).queues.items():
-        events = list(queue.events)
-        if activity_id == reader_id:
-            events = [TraceEvent(EventType.CHANNEL_READ, 1)]
-        chunks.append((activity_id, b"".join(encode_event(e) for e in events)))
-    write_trace(path, 0, chunks)
 
+    def bump_the_read(activity_id, events):
+        # Bump the reader's rendezvous version: writer and reader both park.
+        if activity_id != reader_id:
+            return events
+        assert events == [TraceEvent(EventType.CHANNEL_READ, 0)]
+        return [TraceEvent(EventType.CHANNEL_READ, 1)]
+
+    rewrite_trace(path, bump_the_read)
     ex = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=1.0)
+    start = time.monotonic()
     with pytest.raises(ReplayDeadlock):
         ex.run(program)
+    assert time.monotonic() - start < 4.0
     _assert_nobody_parked(ex)
