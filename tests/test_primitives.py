@@ -3,9 +3,10 @@
 import time
 
 import pytest
-from conftest import patch_bindings
+from conftest import patch_bindings, rewrite_trace
 
 from cmrr import (
+    Channel,
     EventType,
     Execution,
     ExecutionMode,
@@ -19,6 +20,7 @@ from cmrr import (
     encode_event,
     increment_version,
     record_interaction,
+    spawn_process,
     tracing,
 )
 from cmrr.errors import (
@@ -255,6 +257,31 @@ def test_watchdog_raises_replay_deadlock(tmp_path):
     with pytest.raises(ReplayDeadlock):
         ex.run(program)
     assert time.monotonic() - start < 5.0
+
+
+def test_channel_replay_with_bumped_version_deadlocks(tmp_path):
+    def program():
+        ch = Channel()
+        reader = spawn_process(lambda: ch.read())
+        ch.write("m")
+        reader.join()
+        return reader.id
+
+    path = str(tmp_path / "channel.trc")
+    reader_id = Execution(ExecutionMode.RECORD, trace_path=path).run(program).outputs
+
+    def bump_the_read(activity_id, events):
+        if activity_id != reader_id:
+            return events
+        assert events == [TraceEvent(EventType.CHANNEL_READ, 0)]
+        return [TraceEvent(EventType.CHANNEL_READ, 1)]
+
+    rewrite_trace(path, bump_the_read)
+    ex = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=3.0)
+    start = time.monotonic()
+    with pytest.raises(ReplayDeadlock):
+        ex.run(program)
+    assert time.monotonic() - start < 6.0
 
 
 def test_record_buffer_flush_threshold(monkeypatch):
