@@ -163,9 +163,12 @@ class ActorActivity(Activity):
                     # The arrival index is the mailbox version here.
                     record_interaction(acting, MSG_SEND, key)
                     increment_version(self.mailbox_entity)
+            if not (self._queued or self._mail):
+                # The actor goes live: it counts once while it has mail or
+                # a queued or running slice, not once per message.
+                with ex.live_lock:
+                    ex.live += 1
             self._mail[key] = msg
-            with ex.live_lock:
-                ex.live += 1
             self._schedule_if_needed()
 
     # -- scheduling ---------------------------------------------------------
@@ -185,50 +188,86 @@ class ActorActivity(Activity):
             self.execution.abort(exc)
         finally:
             set_current_activity(None)
+            ex = self.execution
             with self._mailbox_lock:
                 self._queued = False
                 if self._mail and isinstance(self._next, ReplayError):
                     # Mail is pending, but the trace head names no receive.
-                    self.execution.abort(self._next)
+                    ex.abort(self._next)
                 if self._next in self._mail:
                     self._schedule_if_needed()
+                elif not self._mail:
+                    # Idle with no mail: the actor leaves the live count.
+                    # Mail that cannot run yet keeps it there, so a replay
+                    # awaiting a key that never comes ends in the watchdog.
+                    with ex.live_lock:
+                        ex.live -= 1
+                        if not ex.live and ex.live_monitor.parked:
+                            ex.live_monitor.notify_all()
 
     # -- event loop ----------------------------------------------------------
 
     def _drain(self) -> None:
         ex = self.execution
         sender_side = ex.strategy is SENDER_SIDE
-        traced = ex.mode is not PASSIVE
-        by_sender = ex.mode is REPLAY and not sender_side
-        mail, mailbox = self._mail, self.mailbox_entity
+        if ex.mode is REPLAY and not sender_side:
+            self._drain_by_sender()
+            return
+        mail, mailbox, lock = self._mail, self.mailbox_entity, self._mailbox_lock
+        log = mailbox._log if sender_side and ex.mode is not PASSIVE else None
+        records_senders = ex.mode is RECORD and not sender_side
         # At most the mail present at the slice's start: run_slice
         # reschedules the actor for what arrives meanwhile, so an actor
         # messaging itself cannot hold its worker for ever.
+        budget = len(mail)
+        while budget:
+            # Keys are consecutive ints here: take every one present from
+            # ``_next`` up under one hold of the lock.
+            with lock:
+                first = key = self._next
+                end = first + budget
+                batch = []
+                while key < end and key in mail:
+                    batch.append(mail.pop(key))
+                    key += 1
+                self._next = key
+            if not batch:
+                return  # yield; rescheduled when the awaited key arrives
+            budget -= len(batch)
+            if log is not None:
+                # The sends traced the versions; note the processing order
+                # (== version order) for the run digest.
+                log.extend([(msg.sender_id, MSG_SEND, key)
+                            for key, msg in enumerate(batch, first)])
+            for msg in batch:
+                if records_senders:
+                    # Receiver-side recording: trace who sent it.
+                    if msg.promise_message_id is not None:
+                        record_interaction(self, PROMMSG_RCVD,
+                                           msg.promise_message_id, entity=mailbox)
+                    record_interaction(self, MSG_RCVD, msg.sender_id,
+                                       entity=mailbox)
+                self._execute(msg)
+
+    def _drain_by_sender(self) -> None:
+        """Receiver-side replay: one message per hold of the lock, since the
+        next key comes from the trace head, which the handler's own events
+        move."""
+        mail, mailbox = self._mail, self.mailbox_entity
         for _ in range(len(mail)):
             with self._mailbox_lock:
-                key = self._next
-                msg = mail.pop(key, None)
+                msg = mail.pop(self._next, None)
                 if msg is None:
                     return  # yield; rescheduled when the awaited key arrives
-                if not by_sender:
-                    self._next += 1
-            if traced and sender_side:
-                # The send traced the version; note the processing order
-                # (== version order) for the run digest.
-                mailbox.note(msg.sender_id, MSG_SEND, key)
-            elif traced:
-                # Receiver-side: trace who sent it; replay checks and
-                # consumes the events the key was read from.
-                if msg.promise_message_id is not None:
-                    record_interaction(self, PROMMSG_RCVD,
-                                       msg.promise_message_id, entity=mailbox)
-                elif by_sender:
-                    self._taken_from[msg.sender_id] += 1
-                record_interaction(self, MSG_RCVD, msg.sender_id,
-                                   entity=mailbox)
+            # Check and consume the events the key was read from.
+            if msg.promise_message_id is not None:
+                record_interaction(self, PROMMSG_RCVD,
+                                   msg.promise_message_id, entity=mailbox)
+            else:
+                self._taken_from[msg.sender_id] += 1
+            record_interaction(self, MSG_RCVD, msg.sender_id, entity=mailbox)
             self._execute(msg)
-            if by_sender:
-                self._next = self._head_key()
+            self._next = self._head_key()
 
     def _head_key(self):
         """Receiver-side replay: the mailbox key of the message the trace
@@ -302,13 +341,9 @@ class ActorPool:
             actor.run_slice()
 
     def note_processed(self) -> None:
-        """Count one message as handled; wakes the run's end at zero."""
-        ex = self.execution
-        with ex.live_lock:
-            ex.live -= 1
-            if not ex.live and ex.live_monitor.parked:
-                ex.live_monitor.notify_all()
-        ex.progress += 1
+        """Count one message as handled, for replay's progress clock; the
+        live count moves per actor, in ``enqueue`` and ``run_slice``."""
+        self.execution.progress += 1
 
     def shutdown(self) -> None:
         """Stop the workers once their running slices end; after an abort,

@@ -138,9 +138,10 @@ class Execution:
         # heuristic clock, and a racy lost increment at worst delays one
         # deadline reset by a tick.
         self.progress = 0
-        # Live thread activities plus pending or running actor messages,
-        # each counted before it can start by work that is itself counted:
-        # once main has returned, 0 means nothing can run again.
+        # Live thread activities plus actors that have mail or a queued or
+        # running slice (one each, however much mail), each counted before
+        # it can start by work that is itself counted: once main has
+        # returned, 0 means nothing can run again.
         self.live = 0
         self.live_lock = threading.Lock()
         self.live_monitor = Monitor(self.live_lock)
@@ -250,9 +251,9 @@ class Execution:
         """Execute ``entry`` as the main activity (id 0) and finalize.
 
         Then waits in one ``watchdog_wait`` until no thread activity, joined
-        or not, is alive and no actor message is pending or running; flushes
-        and closes the trace, verifies full trace consumption in replay, and
-        returns outputs plus the behavior digest.
+        or not, is alive and no actor has mail or a queued or running
+        slice; flushes and closes the trace, verifies full trace consumption
+        in replay, and returns outputs plus the behavior digest.
         """
         if self._ran:
             raise UsageError("an Execution object runs exactly once")

@@ -24,7 +24,7 @@ Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
 
 Every blocked activity parks in ``watchdog_wait``: a model operation
 waiting for its entity, a join waiting for a thread, and the end of a run
-waiting for the last thread and actor message. Its no-progress watchdog
+waiting for the last thread and busy actor. Its no-progress watchdog
 turns blocked-forever replays (corrupted trace, nondeterminism leak) into
 ``ReplayDeadlock`` instead of hangs.
 """

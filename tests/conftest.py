@@ -50,7 +50,7 @@ def count_watchdog_waits(monkeypatch) -> list:
     """Count ``watchdog_wait`` calls: returns a list that gains one entry
     per call, at every binding of the function. Waits on the execution's
     run-end monitor (joins and the run's end) are not counted: they wait
-    for threads and actor messages, not for a model operation."""
+    for threads and actors, not for a model operation."""
     from cmrr import tracing
 
     original = tracing.watchdog_wait

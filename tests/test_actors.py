@@ -2,6 +2,7 @@
 
 import os
 import statistics
+import sys
 import threading
 import time
 from collections import Counter
@@ -26,6 +27,7 @@ from cmrr import (
 from cmrr.bench.support import CompletionLatch
 from cmrr.errors import (
     AlreadyResolved,
+    ReplayDeadlock,
     ReplayQueueExhausted,
     ReplayTypeMismatch,
     UsageError,
@@ -416,6 +418,128 @@ def test_duplicate_recorded_send_version_fails_at_once(trace_path, swap):
         bench.run_benchmark("counting-actors", "replay", trace_path=trace_path,
                             params=params, watchdog_seconds=3)
     assert time.monotonic() - start < 1.0
+
+
+def test_mailbox_version_gap_keeps_the_run_open(trace_path):
+    """A sender-side replay whose trace skips a mailbox version leaves mail
+    the actor can never take. That mail keeps the actor in the run's live
+    count, so the run ends in ``ReplayDeadlock`` instead of returning as if
+    all work were done."""
+    def program():
+        actor = spawn_actor(lambda msg: None)
+        send(actor, "first")
+        send(actor, "second")
+
+    record_run(program, trace_path, strategy="sender")
+
+    def edit(activity_id, events):
+        if activity_id == 0:
+            sends = [i for i, e in enumerate(events) if e.event_type == EventType.MSG_SEND]
+            assert [events[i].data for i in sends] == [0, 1]
+            events[sends[1]] = TraceEvent(EventType.MSG_SEND, 2)
+        return events
+
+    rewrite_trace(trace_path, edit)
+    start = time.monotonic()
+    with pytest.raises(ReplayDeadlock):
+        replay_run(program, trace_path, watchdog=1.0)
+    assert time.monotonic() - start < 3.0
+
+
+class _CountingLock:
+    """A lock that counts how often it was entered."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.entries = 0
+
+    def acquire(self, blocking=True, timeout=-1):
+        if not self._lock.acquire(blocking, timeout):
+            return False
+        self.entries += 1
+        return True
+
+    __enter__ = acquire
+
+    def release(self):
+        self._lock.release()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+@pytest.mark.parametrize("mode", ["passive", "record", "replay"])
+def test_actor_messages_stay_off_the_live_lock(tmp_path, mode):
+    """The run's live count moves when an actor goes live or idle, not per
+    message: 2,000 messages take the run-end lock at most 50 times, waits
+    on its monitor included."""
+    from cmrr import bench
+    from cmrr.tracing import Monitor
+
+    program = bench.REGISTRY["counting-actors"].func
+    params = {"count": 2000}
+    path = str(tmp_path / "counting.trc")
+    if mode == "replay":
+        Execution(ExecutionMode.RECORD, trace_path=path).run(program, params)
+    ex = Execution(mode, trace_path=path)
+    lock = _CountingLock()
+    ex.live_lock, ex.live_monitor = lock, Monitor(lock)
+    result = ex.run(program, params)
+    assert result.outputs == {"sent": 2000, "total": 2000}
+    assert lock.entries <= 50, lock.entries
+
+
+def _forwarding_flood():
+    """Four unjoined threads each send 200 messages over six actors;
+    every message is forwarded once to another actor."""
+    handled, actors = [], []
+
+    def handler(msg):
+        handled.append(msg)
+        hops, n = msg
+        if hops:
+            send(actors[n % 6], (0, n + 1))
+
+    actors.extend(spawn_actor(handler) for _ in range(6))
+
+    def sender(i):
+        for n in range(200):
+            send(actors[(i + n) % 6], (1, n))
+
+    for i in range(4):
+        spawn_thread(sender, i)
+    return handled
+
+
+@pytest.mark.parametrize("strategy", ["sender", "receiver"])
+def test_live_count_holds_under_racing_sends_and_slices(trace_path, strategy):
+    """Stress on more pool workers than CPUs with a short switch interval:
+    senders, forwarding handlers and slice ends race on the live count. A
+    lost update either ends the run before all 1,600 messages are handled or
+    never ends it; each run must return within 20 s with every message
+    handled and the count back at 0."""
+    def run(mode):
+        ex = Execution(mode, strategy=strategy, trace_path=trace_path, pool_size=6,
+                       watchdog_seconds=5.0)
+        outcome = []
+        runner = threading.Thread(target=lambda: outcome.append(ex.run(_forwarding_flood)),
+                                  daemon=True)
+        runner.start()
+        runner.join(20)
+        assert not runner.is_alive(), f"the {mode} run did not return within 20 s"
+        assert len(outcome[0].outputs) == 1600 and ex.live == 0
+        return outcome[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run("passive")
+        recorded = run("record")
+        # The handlers share one untraced list, so only each actor's own
+        # order is reproduced.
+        assert run("replay").actor_logs == recorded.actor_logs
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _mailbox_race_program(sends):

@@ -147,7 +147,7 @@ RUN_END_WORK = {
 @pytest.mark.parametrize("name", sorted(RUN_END_WORK))
 def test_run_end_and_joins_wake_before_their_wait_tick(name, monkeypatch):
     # A join, or the run's end, is parked on the run-end monitor when the
-    # last thread or actor message finishes; with a 5 s tick only the
+    # last thread or actor slice finishes; with a 5 s tick only the
     # finishing decrement's wake-up can end the wait within a second.
     monkeypatch.setattr("cmrr.tracing.WAIT_TICK", 5.0)
     assert _after_run_end_parks(RUN_END_WORK[name]) < 1.0
