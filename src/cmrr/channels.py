@@ -1,18 +1,41 @@
 """Unbuffered rendezvous channels between activities.
 
 A write completes only when paired with a read and vice versa. Each
-completed rendezvous bumps the channel version exactly once (the write
-side owns the increment), and both the read and the write event of a
-rendezvous carry that same version. With a single reader and single
-writer a channel is deterministic; with competing readers or writers the
-recorded versions pin the pairing, and replay delays each operation until
-the channel reaches its recorded rendezvous.
+completed rendezvous bumps the channel version exactly once, and both the
+read and the write event of a rendezvous carry the version from before
+that bump: the write records it at its claim, the read at its gate. With
+a single reader and single writer a channel is deterministic; with
+competing readers or writers the recorded versions pin the pairing, and
+replay delays each operation until the channel reaches its recorded
+rendezvous.
 
 Each side passes the interaction gate once: a writer once no other
 rendezvous is in progress, a reader once a value waits in the slot. In
-replay the recorded-version check joins that predicate in one wait inside
-the channel monitor; ``Condition.wait`` releases the monitor while
-waiting, so a not-yet-due operation still never holds the channel hostage.
+replay the recorded-version check joins that predicate in one wait;
+``Condition.wait`` releases the channel lock while waiting, so a
+not-yet-due operation still never holds the channel hostage.
+
+Three kinds of waiter park on three ``Monitor``s over the one channel
+lock, and each state change wakes only the kind it can release:
+
+* readers park on ``_monitor``, the entity monitor; a fill wakes them;
+* writers waiting to claim the channel park on ``_claims``; the end of a
+  rendezvous wakes them all, since in replay each waits for its own
+  recorded version;
+* the active writer, waiting for its value to be taken, parks on
+  ``_taken``; the take wakes it.
+
+The take owns the version bump: ``read`` empties the slot and calls
+``increment_version``, whose wake-up reaches only other readers, then
+wakes the writer. The writer ends the rendezvous and frees the claim.
+
+One wake-up is early on purpose. When the writer that ends a rendezvous
+also wrote the previous one on this channel, it is streaming values to
+this channel and its next fill follows at once; so the parked readers
+are woken then, not at that fill. A reader woken this way usually gets
+the lock back only after the next value is in the slot. Without this
+wake a one-writer pipeline (sales-pipeline) made about half again as
+many involuntary thread switches and ran 4-6 % slower.
 """
 
 from __future__ import annotations
@@ -22,7 +45,8 @@ from typing import Any
 
 from .activities import current_activity
 from .events import CHANNEL_READ, CHANNEL_WRITE
-from .tracing import VersionedEntity, delay_interaction, increment_version, watchdog_wait
+from .tracing import (Monitor, VersionedEntity, delay_interaction, increment_version,
+                      watchdog_wait)
 
 
 class Channel(VersionedEntity):
@@ -35,9 +59,13 @@ class Channel(VersionedEntity):
         self._slot: Any = None
         self._slot_full = False
         # One rendezvous at a time: the writer is "active" from claiming the
-        # channel until the version increment lands, after its value is
-        # taken, so no new claim can start in between.
+        # channel until it has seen its value taken, so no new claim can
+        # start in between.
         self._writer_active = False
+        # The activity that wrote the last completed rendezvous.
+        self._last_writer = None
+        self._claims = Monitor(self._lock)
+        self._taken = Monitor(self._lock)
 
     def digest_lines(self):
         # Each rendezvous logs its write before its read (a read passes
@@ -57,30 +85,40 @@ class Channel(VersionedEntity):
         return None
 
     def write(self, value: Any) -> None:
-        """Block until a reader takes ``value``; owns the version increment."""
+        """Block until a reader takes ``value``.
+
+        Claims the channel at the gate, parked on ``_claims``, fills the slot
+        and waits on ``_taken`` for the take, which bumps the version. Then
+        frees the claim for the writers parked on ``_claims`` and, when the
+        same activity wrote the previous rendezvous, wakes the readers
+        early (see the module docstring)."""
+        activity = current_activity()
         with self._lock:
-            delay_interaction(current_activity(), self, CHANNEL_WRITE,
-                              lambda: not self._writer_active)
+            delay_interaction(activity, self, CHANNEL_WRITE,
+                              lambda: not self._writer_active, self._claims)
             self._writer_active = True
             self._slot = value
             self._slot_full = True
             if self._monitor.parked:
                 self._monitor.notify_all()
-            # Rendezvous: wait for the paired take to complete.
-            watchdog_wait(self._monitor, lambda: not self._slot_full, self.execution)
-            increment_version(self)
+            watchdog_wait(self._taken, lambda: not self._slot_full, self.execution)
             self._writer_active = False
-            if self._monitor.parked:
+            if self._claims.parked:
+                self._claims.notify_all()
+            if self._last_writer is activity and self._monitor.parked:
                 self._monitor.notify_all()
+            self._last_writer = activity
 
     def read(self) -> Any:
-        """Block until paired with a writer; returns the written value."""
+        """Block until paired with a writer; returns the written value and
+        bumps the version."""
         with self._lock:
             delay_interaction(current_activity(), self, CHANNEL_READ,
                               lambda: self._slot_full)
             value = self._slot
             self._slot = None
             self._slot_full = False
-            if self._monitor.parked:
-                self._monitor.notify_all()
+            increment_version(self)
+            if self._taken.parked:
+                self._taken.notify()
             return value

@@ -9,7 +9,7 @@ every instrumented operation is built from:
   buffer, replay checks that the trace head is exactly that event and
   consumes it, passive does nothing,
 * ``increment_version`` bumps an entity's version counter (recording and
-  replay) and wakes anyone parked on that entity,
+  replay) and wakes anyone parked on the entity's ``_monitor``,
 * ``delay_interaction`` is the gate, in every mode, of an operation
   that takes its turn on an entity: in replay it blocks the operation
   until the entity's version matches the version stored in the
@@ -187,9 +187,13 @@ class VersionedEntity:
     """Passive entity carrying a monotone version counter.
 
     The counter orders all nondeterministic interactions with the entity.
-    Each entity owns one monitor, entered through its RLock ``_lock``;
-    operations mutate the version only while holding it, and waiters for
-    the entity park on it. The entity also keeps an in-memory log of the
+    Each entity owns one lock, the RLock ``_lock``, and one monitor over
+    it, ``_monitor``; operations mutate the version only while holding the
+    lock, and waiters for the entity park on the monitor, which
+    ``increment_version`` wakes. An entity may add further ``Monitor``s
+    over the same lock, one per kind of waiter, so that a state change
+    wakes only the waiters it can release; a channel parks its writers
+    apart from its readers. The entity also keeps an in-memory log of the
     interactions it saw (recorded in recording mode, consumed in replay
     mode), which feeds run digests and version-completeness checks.
     """
@@ -275,8 +279,8 @@ def increment_version(entity: VersionedEntity) -> int:
     """Bump the entity version in recording and replay; untouched when passive.
 
     Call with the entity monitor held. Returns the post-increment value
-    (current value when passive). Wakes the threads parked on the entity,
-    if any, and counts as global progress.
+    (current value when passive). Wakes the threads parked on
+    ``entity._monitor``, if any, and counts as global progress.
     """
     ex = entity.execution
     if ex.mode is PASSIVE:
@@ -291,7 +295,8 @@ def increment_version(entity: VersionedEntity) -> int:
 
 def delay_interaction(activity: "Activity", entity: VersionedEntity,
                       expected_type: int,
-                      ready: Optional[Callable[[], bool]] = None) -> Optional[tuple[int, int]]:
+                      ready: Optional[Callable[[], bool]] = None,
+                      monitor: Optional[Monitor] = None) -> Optional[tuple[int, int]]:
     """The one gate of an ``expected_type`` interaction on ``entity``:
     wait until the activity may perform it, and trace it.
 
@@ -302,11 +307,20 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     consumes, logs and returns it as a ``(type, data)`` pair. Record and
     passive: waits for ``ready()``, records the event at the entity's
     current version (a no-op when passive) and returns ``None``.
+
+    The wait parks on ``monitor``, in every mode; it defaults to
+    ``entity._monitor``. An entity that keeps one wait set per kind of
+    waiter passes another ``Monitor`` over the same lock, and must then
+    notify it itself whenever the version or ``ready()`` may have turned
+    true for its waiters, since ``increment_version`` notifies only
+    ``entity._monitor``.
     """
     ex = activity.execution
+    if monitor is None:
+        monitor = entity._monitor
     if ex.mode is not REPLAY:
         if ready is not None:
-            watchdog_wait(entity._monitor, ready, ex)
+            watchdog_wait(monitor, ready, ex)
         record_interaction(activity, expected_type, entity.version, entity=entity)
         return None
     activity.perturb_point()
@@ -314,10 +328,9 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     ev = queue.expect(expected_type)
     version = ev[1]
     if ready is None:
-        watchdog_wait(entity._monitor, lambda: entity.version == version, ex)
+        watchdog_wait(monitor, lambda: entity.version == version, ex)
     else:
-        watchdog_wait(entity._monitor,
-                      lambda: entity.version == version and ready(), ex)
+        watchdog_wait(monitor, lambda: entity.version == version and ready(), ex)
     queue.advance()
     entity._log.append((activity.id, expected_type, version))
     ex.progress += 1

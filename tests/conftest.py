@@ -65,6 +65,37 @@ def count_watchdog_waits(monkeypatch) -> list:
     return calls
 
 
+def count_wasted_wakes(monkeypatch) -> tuple[list, list]:
+    """Count the wake-ups of parked model waits that find their predicate
+    still false, by wrapping the predicate that every binding of
+    ``watchdog_wait`` receives. Returns ``(parked, wasted)``: ``parked``
+    gains one entry per wait that parked, ``wasted`` one per wake-up of it
+    that did not end the wait. Run-end waits are left out, as in
+    ``count_watchdog_waits``."""
+    from cmrr import tracing
+
+    original = tracing.watchdog_wait
+    parked, wasted = [], []
+
+    def counting_wait(cond, predicate, execution):
+        if cond is execution.live_monitor:
+            return original(cond, predicate, execution)
+        checks = []
+
+        def counted():
+            checks.append(1)
+            return predicate()
+
+        original(cond, counted, execution)
+        # One check before parking, one per wake-up; the last one passed.
+        if len(checks) > 1:
+            parked.append(1)
+            wasted.extend(checks[2:])
+
+    patch_bindings(monkeypatch, original, counting_wait)
+    return parked, wasted
+
+
 def patch_bindings(monkeypatch, original, replacement) -> None:
     """Replace ``original`` at every binding in a loaded cmrr module, since
     the substrate functions are imported by name into several modules."""

@@ -5,7 +5,9 @@ monitor, is guarded by the monitor's ``parked`` count. These tests check
 both halves of that rule: an uncontended operation makes no
 ``notify_all`` call at all, and a thread parked in ``watchdog_wait`` is
 still woken at once, not by its next wait tick, by each kind of operation
-that can unblock it, and so are joins and the end of a run.
+that can unblock it, and so are joins and the end of a run. A channel
+keeps one monitor per kind of waiter, and a test checks that its waits
+seldom wake to a predicate that is still false.
 """
 
 import threading
@@ -31,8 +33,8 @@ from cmrr import (
 )
 from cmrr.activities import ThreadActivity
 from cmrr.errors import ReplayDeadlock
-from cmrr.tracing import watchdog_wait
-from conftest import rewrite_trace
+from cmrr.tracing import Monitor, watchdog_wait
+from conftest import count_wasted_wakes, rewrite_trace
 
 
 def test_uncontended_operations_make_no_notify_calls(monkeypatch):
@@ -63,19 +65,24 @@ def _wait_until_parked(monitor):
         time.sleep(0.001)
 
 
-def _wake_seconds(mode, make, park, wake):
-    """Seconds from ``wake(entity)`` until a thread parked by ``park(entity)``
-    has returned; ``make`` builds the entity in the main activity."""
+def _wake_program(make, park, wake, parks_on="_monitor"):
+    """A program returning the seconds from ``wake(entity)`` until a thread
+    parked by ``park(entity)`` on the entity's monitor ``parks_on`` has
+    returned; ``make`` builds the entity in the main activity."""
     def program():
         entity = make()
         child = spawn_thread(park, entity)
-        _wait_until_parked(entity._monitor)
+        _wait_until_parked(getattr(entity, parks_on))
         start = time.monotonic()
         wake(entity)
         child.join()
         return time.monotonic() - start
 
-    return Execution(mode, sink="discard").run(program).outputs
+    return program
+
+
+def _wake_seconds(mode, *wake_case):
+    return Execution(mode, sink="discard").run(_wake_program(*wake_case)).outputs
 
 
 def _park_until(entity, predicate):
@@ -99,6 +106,18 @@ def _acquire_release(lock):
     lock.release()
 
 
+def _channel_with_writer_parked_for_its_take():
+    ch = Channel()
+    spawn_thread(ch.write, "first")
+    _wait_until_parked(ch._taken)
+    return ch
+
+
+def _read_twice(ch):
+    ch.read()
+    ch.read()
+
+
 WAKERS = {
     "increment_version": (
         ExecutionMode.RECORD, VersionedEntity,
@@ -107,6 +126,16 @@ WAKERS = {
         ExecutionMode.PASSIVE, _held_lock, _acquire_release, RRLock.release),
     "channel_rendezvous": (
         ExecutionMode.PASSIVE, Channel, Channel.read, lambda ch: ch.write("m")),
+    # The writer parks on ``_taken`` until the read takes its value.
+    "channel_take": (
+        ExecutionMode.PASSIVE, Channel, lambda ch: ch.write("m"), Channel.read,
+        "_taken"),
+    # A second writer parks on ``_claims`` while the first waits for its
+    # take; the first read ends that rendezvous, which must wake the claim,
+    # and the second read pairs with the second writer.
+    "channel_claim": (
+        ExecutionMode.PASSIVE, _channel_with_writer_parked_for_its_take,
+        lambda ch: ch.write("second"), _read_twice, "_claims"),
     "promise_resolve": (
         ExecutionMode.PASSIVE, Promise,
         lambda p: _park_until(p, lambda: p.resolved), lambda p: p.resolve(1)),
@@ -119,6 +148,44 @@ def test_parked_thread_is_woken_before_its_wait_tick(name, monkeypatch):
     # within a second.
     monkeypatch.setattr("cmrr.tracing.WAIT_TICK", 5.0)
     assert _wake_seconds(*WAKERS[name]) < 1.0
+
+
+def test_replayed_channel_claim_is_woken_before_its_wait_tick(tmp_path, monkeypatch):
+    # In replay the second writer's claim also waits for its recorded
+    # version, which the take bumps; only the end of the first rendezvous
+    # notifies ``_claims``.
+    monkeypatch.setattr("cmrr.tracing.WAIT_TICK", 5.0)
+    timed = _wake_program(*WAKERS["channel_claim"][1:])
+    seconds = []
+
+    def program():
+        # The digest hashes the outputs, so keep the timing out of them.
+        seconds.append(timed())
+
+    path = str(tmp_path / "claim.trc")
+    recorded = Execution(ExecutionMode.RECORD, trace_path=path).run(program)
+    replayed = Execution(ExecutionMode.REPLAY, trace_path=path,
+                         watchdog_seconds=10.0).run(program)
+    assert seconds[-1] < 1.0
+    assert replayed.digest == recorded.digest
+
+
+def test_channel_waits_are_seldom_woken_in_vain(tmp_path, monkeypatch):
+    # Readers, claiming writers and the writer awaiting its take park on
+    # separate monitors, so a hand-off wakes only waiters it can release.
+    # With one shared monitor a fifth of the parked waits woke in vain.
+    parked, wasted = count_wasted_wakes(monkeypatch)
+    path = str(tmp_path / "csp.trc")
+    func = bench.REGISTRY["philosophers-csp"].func
+    shares = {}
+    for mode in (ExecutionMode.PASSIVE, ExecutionMode.RECORD, ExecutionMode.REPLAY):
+        parked.clear()
+        wasted.clear()
+        Execution(mode, trace_path=path, watchdog_seconds=10.0).run(
+            func, {"philosophers": 5, "rounds": 20})
+        assert len(parked) > 200, mode
+        shares[mode.value] = len(wasted) / len(parked)
+    assert max(shares.values()) <= 0.05, shares
 
 
 def _after_run_end_parks(work):
@@ -158,7 +225,8 @@ def _assert_nobody_parked(ex):
         if isinstance(act, ThreadActivity):
             act._thread.join(5)
             assert not act._thread.is_alive()
-    assert [e.entity_id for e in ex.entities if e._monitor.parked] == []
+    assert [e.entity_id for e in ex.entities for m in vars(e).values()
+            if isinstance(m, Monitor) and m.parked] == []
     assert ex.live_monitor.parked == 0
 
 
