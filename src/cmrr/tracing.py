@@ -138,9 +138,10 @@ class ReplayQueue:
         return tuple(map(TraceEvent._make, self._events))
 
     def peek(self) -> Optional[tuple[int, int]]:
-        if self._pos < len(self._events):
+        try:  # cheaper than a len() call on the replay hot path
             return self._events[self._pos]
-        return None
+        except IndexError:
+            return None
 
     def peek_second(self) -> Optional[tuple[int, int]]:
         """Look one event past the head without consuming."""
@@ -155,13 +156,14 @@ class ReplayQueue:
     def expect(self, *event_types: int) -> tuple[int, int]:
         """Peek the head and verify its type is one of ``event_types``;
         does not consume. The one check of what the trace may hold next."""
-        if self._pos < len(self._events):
+        try:
             ev = self._events[self._pos]
+        except IndexError:
+            error, found = ReplayQueueExhausted, "trace is exhausted"
+        else:
             if ev[0] in event_types:
                 return ev
             error, found = ReplayTypeMismatch, f"trace holds {describe(ev)}"
-        else:
-            error, found = ReplayQueueExhausted, "trace is exhausted"
         names = " or ".join(EventType(t).name for t in event_types)
         raise error(f"activity {self.owner_id}: expected {names}, {found}")
 

@@ -1,10 +1,16 @@
-"""Rendezvous pairing, version sharing, and replay of channel races."""
+"""Rendezvous pairing, version sharing, hand-off to parked readers, and
+replay of channel races."""
 
+import threading
 import time
 from collections import Counter
 
-from cmrr import Channel, EventType, bench, parse_trace, spawn_process
-from conftest import count_watchdog_waits, passive_run, record_run, replay_run
+import pytest
+
+from cmrr import (Channel, EventType, Execution, ExecutionMode, PerturbationPlan, bench,
+                  parse_trace, spawn_process, tracing)
+from conftest import (count_watchdog_waits, passive_run, patch_bindings, record_run,
+                      replay_run)
 
 
 def test_single_pair_shares_one_version(trace_path):
@@ -177,18 +183,148 @@ def test_passive_mode_plain_rendezvous():
     assert result.outputs == {"got": [42], "version": 0}
 
 
-def test_replayed_channel_operation_waits_twice(tmp_path, monkeypatch):
-    """The replay gate folds the recorded-version check into each side's
-    one readiness wait: a read parks once, until a value waits in the slot
-    at its recorded version; a write parks to claim the channel and once
-    more for the partner's take."""
+def test_each_rendezvous_makes_one_claim_wait_and_one_park(tmp_path, monkeypatch):
+    """A write claims the channel in one wait at the gate. Then only the
+    side of the rendezvous that arrived first parks, once: a reader for the
+    hand-off, or a writer for the take. A read that finds a value in the
+    slot does not wait at all. So a rendezvous with one reader makes two
+    waits, in every mode."""
     path = str(tmp_path / "csp.trc")
     params = {"philosophers": 5, "rounds": 20}
-    bench.run_benchmark("philosophers-csp", "record", trace_path=path, params=params)
+    calls = count_watchdog_waits(monkeypatch)
+    rendezvous = 5 * 20 * 5 + 1  # five per meal, one to finish
+    for mode in ("passive", "record", "replay"):
+        calls.clear()
+        bench.run_benchmark("philosophers-csp", mode, trace_path=path, params=params)
+        assert len(calls) == 2 * rendezvous == 1002, mode
     counts = Counter(e.event_type for queue in parse_trace(path).queues.values()
                      for e in queue.events)
-    calls = count_watchdog_waits(monkeypatch)
-    bench.run_benchmark("philosophers-csp", "replay", trace_path=path, params=params)
-    rendezvous = 5 * 20 * 5 + 1  # five per meal, one to finish
     assert counts[EventType.CHANNEL_READ] == counts[EventType.CHANNEL_WRITE] == rendezvous
-    assert len(calls) == 2 * rendezvous + rendezvous == 1503  # 2 per write, 1 per read
+
+
+def _wait_for_parked_readers(ch, count):
+    deadline = time.monotonic() + 5
+    while len(ch._readers) < count:
+        assert time.monotonic() < deadline, "the readers did not park"
+        time.sleep(0.001)
+
+
+def _note_wait_monitors(monkeypatch) -> list:
+    """A list that gains the monitor of every ``watchdog_wait`` call."""
+    original = tracing.watchdog_wait
+    monitors = []
+
+    def noting_wait(cond, predicate, execution):
+        monitors.append(cond)
+        return original(cond, predicate, execution)
+
+    patch_bindings(monkeypatch, original, noting_wait)
+    return monitors
+
+
+def _parked_readers_program(channels, release_order):
+    """Readers r1 and r2 park on one channel, in ``release_order``, before
+    the main activity writes "first" and then "second"."""
+    ch = Channel()
+    channels.append(ch)
+    got = {}
+    go = {"r1": threading.Event(), "r2": threading.Event()}
+
+    def reader(tag):
+        go[tag].wait(5)
+        got[tag] = ch.read()
+
+    readers = [spawn_process(reader, tag) for tag in ("r1", "r2")]
+    for parked, tag in enumerate(release_order, 1):
+        go[tag].set()
+        _wait_for_parked_readers(ch, parked)
+    ch.write("first")
+    ch.write("second")
+    for r in readers:
+        r.join()
+    return dict(sorted(got.items()))
+
+
+@pytest.mark.parametrize("mode", ["passive", "record", "replay"])
+def test_write_hands_its_value_to_a_parked_reader(mode, tmp_path, monkeypatch):
+    path = str(tmp_path / "handoff.trc")
+    channels, monitors = [], _note_wait_monitors(monkeypatch)
+
+    def run(mode):
+        monitors.clear()
+        result = Execution(mode, trace_path=path, watchdog_seconds=5.0).run(
+            _parked_readers_program, channels, ("r1", "r2"))
+        ch = channels[-1]
+        # Both readers parked for a hand-off; neither write waited for a take.
+        assert sum(m is ch._monitor for m in monitors) == 2
+        assert not any(m is ch._taken for m in monitors)
+        assert result.outputs == {"r1": "first", "r2": "second"}
+        assert ch.check_version_completeness() is None
+        return result
+
+    if mode == "replay":
+        recorded = run(ExecutionMode.RECORD)
+        assert run(ExecutionMode.REPLAY).digest == recorded.digest
+    else:
+        run(ExecutionMode(mode))
+
+
+def test_replayed_write_passes_over_a_parked_reader_that_is_not_due(tmp_path, monkeypatch):
+    # Recorded: r2 parks first and gets "first". Replayed: r1 parks first,
+    # but it awaits the second rendezvous, so the first write passes it
+    # over and hands its value to r2.
+    path = str(tmp_path / "due.trc")
+    channels, monitors = [], _note_wait_monitors(monkeypatch)
+    recorded = Execution(ExecutionMode.RECORD, trace_path=path).run(
+        _parked_readers_program, channels, ("r2", "r1"))
+    assert recorded.outputs == {"r1": "second", "r2": "first"}
+    monitors.clear()
+    replayed = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=5.0).run(
+        _parked_readers_program, channels, ("r1", "r2"))
+    assert replayed.outputs == recorded.outputs
+    assert replayed.digest == recorded.digest
+    assert not any(m is channels[-1]._taken for m in monitors)
+
+
+def _many_to_many_program(writers, readers, per_writer):
+    """``writers`` writers and ``readers`` readers share two channels; each
+    side alternates between them, so both channels see competing readers
+    and writers. Returns what each reader got, in order."""
+    chans = [Channel(), Channel()]
+    per_reader = writers * per_writer // readers
+    got = [[] for _ in range(readers)]
+
+    def writer(w):
+        for i in range(per_writer):
+            chans[i % 2].write((w, i))
+
+    def reader(r):
+        for i in range(per_reader):
+            got[r].append(chans[i % 2].read())
+
+    spawned = ([spawn_process(writer, w) for w in range(writers)]
+               + [spawn_process(reader, r) for r in range(readers)])
+    for activity in spawned:
+        activity.join()
+    return got
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_competing_readers_and_writers_replay_their_pairing(seed, tmp_path):
+    shape = (3, 4, 8)  # writers, readers, values per writer
+    written = sorted((w, i) for w in range(3) for i in range(8))
+    plan = PerturbationPlan(seed, prob=0.3)
+    _, passive = passive_run(_many_to_many_program, *shape, perturb=plan)
+    assert sorted(v for got in passive.outputs for v in got) == written
+
+    path = str(tmp_path / "many.trc")
+    record = Execution(ExecutionMode.RECORD, trace_path=path, perturb=plan)
+    recorded = record.run(_many_to_many_program, *shape)
+    assert sorted(v for got in recorded.outputs for v in got) == written
+    assert record.version_completeness_report() == []
+    replay = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=5.0,
+                       perturb=PerturbationPlan(seed + 100, prob=0.3))
+    replayed = replay.run(_many_to_many_program, *shape)
+    assert replayed.outputs == recorded.outputs
+    assert replayed.digest == recorded.digest
+    assert replay.version_completeness_report() == []

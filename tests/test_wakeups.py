@@ -227,6 +227,8 @@ def _assert_nobody_parked(ex):
             assert not act._thread.is_alive()
     assert [e.entity_id for e in ex.entities for m in vars(e).values()
             if isinstance(m, Monitor) and m.parked] == []
+    # Nor may a channel keep a parked read that a later write could be handed.
+    assert [e.entity_id for e in ex.entities if isinstance(e, Channel) and e._readers] == []
     assert ex.live_monitor.parked == 0
 
 
