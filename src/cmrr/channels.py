@@ -32,8 +32,8 @@ and only the side that arrived first parks:
 So the side that arrives second bumps the version, once per rendezvous.
 
 The end of either kind of rendezvous wakes the parked claims. In replay
-each claim waits for its own recorded version, and the parked ones file
-theirs in ``_claims.due``, so that they are woken only when one is due.
+each claim waits for its own recorded version, which the gate files in
+``_claims.due`` while it is parked, so they are woken only when one is due.
 
 Outside replay every parked reader is eligible, first come first served.
 In replay a reader is eligible only when the version it awaits, the data
@@ -70,28 +70,6 @@ class _ParkedRead:
         return self.version is not None
 
 
-class _Claims(Monitor):
-    """The writers parked to claim a channel. In replay each waits for its
-    recorded version, the data word of its trace head, and files it in
-    ``due`` while it is parked, so that the end of a rendezvous wakes them
-    only when one is due; outside replay ``due`` stays empty."""
-
-    def __init__(self, lock):
-        super().__init__(lock)
-        self.due: set[int] = set()
-
-    def wait(self, timeout=None):
-        queue = current_activity().replay_queue
-        if queue is None:
-            return Monitor.wait(self, timeout)
-        version = queue.peek()[1]  # the gate has checked the head
-        self.due.add(version)
-        try:
-            return Monitor.wait(self, timeout)
-        finally:
-            self.due.discard(version)
-
-
 class Channel(VersionedEntity):
     """Zero-capacity rendezvous channel, safe for many readers and writers."""
 
@@ -106,7 +84,7 @@ class Channel(VersionedEntity):
         # can start in between.
         self._writer_active = False
         self._readers: deque[_ParkedRead] = deque()
-        self._claims = _Claims(self._lock)
+        self._claims = Monitor(self._lock)
         self._taken = Monitor(self._lock)
 
     def digest_lines(self):

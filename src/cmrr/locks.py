@@ -16,7 +16,8 @@ FIFO, signaled waiters reacquire in that FIFO order with priority over
 explicit acquirers, and a replayer whose recorded version currently
 matches the lock (an explicit acquisition or a simulated timeout) goes
 first, mirroring that, in the recording, it held the lock before the
-signal it would otherwise defer to.
+signal it would otherwise defer to: while its gate is parked, its
+version is in the lock monitor's ``due``.
 
 Recorded timeouts are simulated: replay releases the lock and reacquires
 it through the same interaction gate as an explicit acquisition, at the
@@ -67,9 +68,6 @@ class RRLock(VersionedEntity):
         self._depth = 0
         # Signaled condition waiters awaiting reacquisition, in signal order.
         self._implicit_queue: deque[_CondWaiter] = deque()
-        # Versions that a parked replayed acquirer waits for; exactly one
-        # acquisition takes each version.
-        self._gated_versions: set[int] = set()
         # Untimed condition waits record nothing but bump the version.
         self.untimed_reacquisitions = 0
 
@@ -100,25 +98,12 @@ class RRLock(VersionedEntity):
         interaction (LOCK, or a replayed AWAIT_TIMEOUT) and leave the lock
         held at ``depth``; monitor held, ``act`` not the owner."""
         replaying = self.execution.mode is REPLAY
-        # A replayer that has to wait registers its recorded version, so
-        # that implicit reacquirers defer to it (see _reacquire_implicit).
-        # One whose turn it is passes without releasing the monitor, so
-        # nobody could see its registration. The gate checks the head's
-        # type.
-        head = act.replay_queue.peek() if replaying else None
-        gated = head is not None and (
-            self._owner is not None or self.version != head[1])
-        if gated:
-            self._gated_versions.add(head[1])
-        try:
-            # Recording gives signaled waiters strict priority (FIFO),
-            # which makes the implicit-vs-explicit race a deterministic
-            # function of lock state; replay follows the recorded version.
-            delay_interaction(act, self, event_type, lambda: (
-                self._owner is None and (replaying or not self._implicit_queue)))
-        finally:
-            if gated:
-                self._gated_versions.discard(head[1])
+        # Recording gives signaled waiters strict priority (FIFO), which
+        # makes the implicit-vs-explicit race a deterministic function of
+        # lock state; replay follows the recorded version, and implicit
+        # reacquirers defer to a parked gate (see _reacquire_implicit).
+        delay_interaction(act, self, event_type, lambda: (
+            self._owner is None and (replaying or not self._implicit_queue)))
         self._owner = act
         self._depth = depth
         increment_version(self)
@@ -157,7 +142,7 @@ class RRLock(VersionedEntity):
 
     def _reacquire_implicit(self, act: Activity, waiter: _CondWaiter, depth: int) -> None:
         """Reacquire after a condition wait; FIFO among implicit waiters,
-        deferring to any replayer gated on the current version."""
+        deferring to any replayed gate parked for the current version."""
         # monitor held; heading the implicit queue implies a signal or timeout
         watchdog_wait(
             self._monitor,
@@ -165,7 +150,7 @@ class RRLock(VersionedEntity):
                 self._owner is None
                 and self._implicit_queue
                 and self._implicit_queue[0] is waiter
-                and self.version not in self._gated_versions
+                and self.version not in self._monitor.due
             ),
             self.execution,
         )

@@ -22,11 +22,13 @@ Call both with the entity's monitor held; neither enters it itself.
 Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
 ``record_interaction``, so every divergence is reported in one format.
 
-Every blocked activity parks in ``watchdog_wait``: a model operation
+A blocked activity parks in ``watchdog_wait``: a model operation
 waiting for its entity, a join waiting for a thread, and the end of a run
 waiting for the last thread and busy actor. Its no-progress watchdog
 turns blocked-forever replays (corrupted trace, nondeterminism leak) into
-``ReplayDeadlock`` instead of hangs.
+``ReplayDeadlock`` instead of hangs. One wait stays outside it: the
+wall-clock loop of a record-mode ``RRCondition.wait_timeout``, which
+waits on the lock's monitor directly and checks only for an abort.
 """
 
 from __future__ import annotations
@@ -171,11 +173,17 @@ class ReplayQueue:
 class Monitor(threading.Condition):
     """Condition counting the threads parked in ``wait``. The count changes
     only under the lock, so a waker holding it may skip ``notify_all``
-    when it reads 0: any waiter not counted has yet to test its predicate."""
+    when it reads 0: any waiter not counted has yet to test its predicate.
+
+    ``due`` holds the recorded versions that replayed gates on this
+    monitor await; only ``delay_interaction`` changes it, under the lock.
+    So while another thread holds the lock, every version in ``due``
+    belongs to a gate parked on this monitor."""
 
     def __init__(self, lock):
         super().__init__(lock)
         self.parked = 0
+        self.due: list[int] = []
 
     def wait(self, timeout=None):
         self.parked += 1
@@ -315,7 +323,9 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     waiter passes another ``Monitor`` over the same lock, and must then
     notify it itself whenever the version or ``ready()`` may have turned
     true for its waiters, since ``increment_version`` notifies only
-    ``entity._monitor``.
+    ``entity._monitor``. In replay the awaited version is in
+    ``monitor.due`` for the wait, however it ends; a gate whose turn has
+    come never releases the lock, so others see only parked gates there.
     """
     ex = activity.execution
     if monitor is None:
@@ -329,10 +339,14 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     queue = activity.replay_queue
     ev = queue.expect(expected_type)
     version = ev[1]
-    if ready is None:
-        watchdog_wait(monitor, lambda: entity.version == version, ex)
-    else:
-        watchdog_wait(monitor, lambda: entity.version == version and ready(), ex)
+    monitor.due.append(version)
+    try:
+        if ready is None:
+            watchdog_wait(monitor, lambda: entity.version == version, ex)
+        else:
+            watchdog_wait(monitor, lambda: entity.version == version and ready(), ex)
+    finally:
+        monitor.due.remove(version)
     queue.advance()
     entity._log.append((activity.id, expected_type, version))
     ex.progress += 1
@@ -341,8 +355,9 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
 
 def watchdog_wait(cond: threading.Condition, predicate: Callable[[], bool],
                   execution) -> None:
-    """Wait on ``cond`` until ``predicate()`` holds; the one place where
-    cmrr parks a blocked activity.
+    """Wait on ``cond`` until ``predicate()`` holds; where cmrr parks a
+    blocked activity, except in a record-mode timed condition wait's
+    wall-clock loop (``RRCondition.wait_timeout``).
 
     The condition's lock must be held. Between wait ticks the wait
     re-raises the execution's abort error, and in replay mode it raises

@@ -1,15 +1,19 @@
 """Every imported name is used by the module that imports it.
 
-Scans the package sources and the test modules with ``ast``. A name counts
-as used when the module reads it anywhere, in a string annotation, or
-lists it in ``__all__``; ``from __future__`` imports are skipped.
+Scans the package sources, the ``perfbench`` scripts (read only) and the
+test modules with ``ast``. A name counts as used when the module reads it
+anywhere, in a string annotation, or lists it in ``__all__``; ``from
+__future__`` imports are skipped.
 """
 
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-SOURCES = sorted((TESTS.parent / "src" / "cmrr").rglob("*.py")) + sorted(TESTS.glob("*.py"))
+ROOT = TESTS.parent
+SOURCES = (sorted((ROOT / "src" / "cmrr").rglob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py"))
+           + sorted(TESTS.glob("*.py")))
 
 
 def _imported_names(tree):
@@ -45,6 +49,6 @@ def test_no_module_imports_a_name_it_does_not_use():
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
-        unused += [f"{path.relative_to(TESTS.parent)}:{line} {name}"
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for line, name in _imported_names(tree) if name not in used]
     assert unused == []

@@ -378,3 +378,60 @@ def test_lock_order_invariant_from_entity_logs(trace_path):
     ex2, _ = replay_run(_contention_program, trace_path, (0.01, 0.0))
     replay_logs = [e.log_entries() for e in ex2.entities if e.kind == "lock"]
     assert lock_logs == replay_logs
+
+
+def _await(predicate):
+    deadline = time.monotonic() + 5
+    while not predicate():
+        assert time.monotonic() < deadline, "the program did not get there"
+        time.sleep(0.001)
+
+
+def _timeout_under_holder_program(rounds, recording):
+    """Per round: an untimed waiter U waits, then a timed waiter T. The
+    main activity takes the lock, and recording holds it until T has timed
+    out, then signals U and releases. T reacquires at version 3, U at 4."""
+    outcomes = []
+    for _ in range(rounds):
+        lock = RRLock()
+        cond = RRCondition(lock)
+
+        def untimed():
+            with lock:
+                cond.wait()
+
+        def timed():
+            with lock:
+                outcomes.append(cond.wait_timeout(0.1))
+
+        u = spawn_thread(untimed)
+        _await(lambda: lock.version == 1 and lock._owner is None)
+        t = spawn_thread(timed)
+        _await(lambda: lock.version == 2 and lock._owner is None)
+        with lock:
+            if recording:
+                _await(lambda: lock._implicit_queue)  # T has timed out
+            cond.signal()
+        u.join()
+        t.join()
+    return outcomes
+
+
+def test_signaled_reacquisition_defers_to_a_parked_replayed_timeout(trace_path):
+    """In replay the timed-out waiter is parked in the gate for version 3
+    when the main activity releases, and the signaled waiter heads the
+    implicit queue: both could take the lock. The signaled one must defer,
+    since the gate's version is in the lock monitor's ``due``; taking
+    version 3 would leave the gate waiting for ever. Without the deference
+    about two rounds in three deadlock, so six rounds catch it."""
+    rounds = 6
+    ex, recorded = record_run(_timeout_under_holder_program, trace_path, rounds, True)
+    assert recorded.outputs == [False] * rounds
+    for lock in (e for e in ex.entities if e.kind == "lock"):
+        assert [(t, d) for _, t, d in lock.log_entries()] == [
+            (EventType.LOCK, 0), (EventType.LOCK, 1), (EventType.LOCK, 2),
+            (EventType.AWAIT_TIMEOUT, 3)]
+        assert lock.version == 5
+    _, replayed = replay_run(_timeout_under_holder_program, trace_path, rounds, False,
+                             watchdog=1.0)
+    assert replayed.digest == recorded.digest

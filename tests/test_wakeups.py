@@ -188,6 +188,52 @@ def test_channel_waits_are_seldom_woken_in_vain(tmp_path, monkeypatch):
     assert max(shares.values()) <= 0.05, shares
 
 
+def _late_writer_program(late_first):
+    """The main activity writes 0, 1 and 2 to one reader; a second writer
+    writes "late". Recorded with ``late_first`` false, its claim is at
+    version 3; replayed with it true, that claim parks before the first
+    rendezvous and stays parked through three."""
+    ch = Channel()
+    got = []
+    go = threading.Event()
+
+    def late():
+        go.wait(5)
+        ch.write("late")
+
+    reader = spawn_process(lambda: got.extend(ch.read() for _ in range(4)))
+    writer = spawn_process(late)
+    if late_first:
+        go.set()
+    for i in range(3):
+        # ``parked`` still counts a woken thread until it has the lock
+        # back; the condition's own waiter list drops it at the wake-up.
+        # So a wake in vain is seen before the next rendezvous.
+        while late_first and not ch._claims._waiters:
+            time.sleep(0.001)
+        ch.write(i)
+    go.set()
+    writer.join()
+    reader.join()
+    return got
+
+
+def test_replayed_claim_is_not_woken_before_its_version(tmp_path, monkeypatch):
+    # The parked claim awaits version 3, so the ends of the rendezvous at
+    # versions 1 and 2 must not wake it; the one at 3 must. With a 5 s tick
+    # no tick wakes it either.
+    monkeypatch.setattr("cmrr.tracing.WAIT_TICK", 5.0)
+    path = str(tmp_path / "late.trc")
+    recorded = Execution(ExecutionMode.RECORD, trace_path=path).run(
+        _late_writer_program, False)
+    assert recorded.outputs == [0, 1, 2, "late"]
+    parked, wasted = count_wasted_wakes(monkeypatch)
+    replayed = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=5.0).run(
+        _late_writer_program, True)
+    assert replayed.digest == recorded.digest
+    assert parked and wasted == []
+
+
 def _after_run_end_parks(work):
     """Run ``work(ex, finished)`` as a passive program; the work it spawns
     ends in ``_finish_when_parked``. Returns the seconds from that end to
@@ -225,8 +271,11 @@ def _assert_nobody_parked(ex):
         if isinstance(act, ThreadActivity):
             act._thread.join(5)
             assert not act._thread.is_alive()
-    assert [e.entity_id for e in ex.entities for m in vars(e).values()
-            if isinstance(m, Monitor) and m.parked] == []
+    monitors = [(e.entity_id, m) for e in ex.entities for m in vars(e).values()
+                if isinstance(m, Monitor)]
+    assert [entity_id for entity_id, m in monitors if m.parked] == []
+    # Nor may a replayed gate leave its awaited version filed.
+    assert [entity_id for entity_id, m in monitors if m.due] == []
     # Nor may a channel keep a parked read that a later write could be handed.
     assert [e.entity_id for e in ex.entities if isinstance(e, Channel) and e._readers] == []
     assert ex.live_monitor.parked == 0
@@ -247,28 +296,45 @@ def test_no_monitor_stays_parked_after_a_run(name, params, tmp_path):
         _assert_nobody_parked(ex)
 
 
-def test_no_monitor_stays_parked_after_a_replay_deadlock(tmp_path):
-    def program():
-        ch = Channel()
-        reader = spawn_process(lambda: ch.read())
-        ch.write("m")
-        reader.join()
-        return reader.id
+def _one_rendezvous():
+    ch = Channel()
+    reader = spawn_process(lambda: ch.read())
+    ch.write("m")
+    reader.join()
 
+
+def _replay_deadlock_with_bumped(event_type, tmp_path):
+    """Record one rendezvous, add one to the version of its ``event_type``
+    event, and replay it into a ``ReplayDeadlock`` under a 1 s watchdog;
+    returns the replaying execution."""
     path = str(tmp_path / "channel.trc")
-    reader_id = Execution(ExecutionMode.RECORD, trace_path=path).run(program).outputs
+    Execution(ExecutionMode.RECORD, trace_path=path).run(_one_rendezvous)
+    bumped = []
 
-    def bump_the_read(activity_id, events):
-        # Bump the reader's rendezvous version: writer and reader both park.
-        if activity_id != reader_id:
-            return events
-        assert events == [TraceEvent(EventType.CHANNEL_READ, 0)]
-        return [TraceEvent(EventType.CHANNEL_READ, 1)]
+    def bump(activity_id, events):
+        for i, (t, d) in enumerate(events):
+            if t == event_type:
+                events[i] = TraceEvent(t, d + 1)
+                bumped.append(d)
+        return events
 
-    rewrite_trace(path, bump_the_read)
+    rewrite_trace(path, bump)
+    assert bumped == [0]
     ex = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=1.0)
     start = time.monotonic()
     with pytest.raises(ReplayDeadlock):
-        ex.run(program)
+        ex.run(_one_rendezvous)
     assert time.monotonic() - start < 4.0
-    _assert_nobody_parked(ex)
+    return ex
+
+
+def test_no_monitor_stays_parked_after_a_replay_deadlock(tmp_path):
+    # The read awaits version 1: the writer fills the slot and parks for
+    # the take, the reader parks for a hand-off.
+    _assert_nobody_parked(_replay_deadlock_with_bumped(EventType.CHANNEL_READ, tmp_path))
+
+
+def test_no_awaited_version_stays_filed_after_a_replay_deadlock(tmp_path):
+    # The write's claim awaits version 1: it parks in the gate with 1 in
+    # ``_claims.due``, and the reader parks for a hand-off.
+    _assert_nobody_parked(_replay_deadlock_with_bumped(EventType.CHANNEL_WRITE, tmp_path))
