@@ -143,7 +143,8 @@ class ThreadActivity(Activity):
             raise UsageError("activity cannot join itself")
         ex = self.execution
         with ex.live_lock:
-            watchdog_wait(ex.live_monitor, lambda: self.done, ex)
+            if not self.done:
+                watchdog_wait(ex.live_monitor, lambda: self.done, ex)
 
 
 _tls = threading.local()

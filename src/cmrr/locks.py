@@ -97,16 +97,19 @@ class RRLock(VersionedEntity):
         """Acquire through the interaction gate as one ``event_type``
         interaction (LOCK, or a replayed AWAIT_TIMEOUT) and leave the lock
         held at ``depth``; monitor held, ``act`` not the owner."""
-        replaying = self.execution.mode is REPLAY
-        # Recording gives signaled waiters strict priority (FIFO), which
-        # makes the implicit-vs-explicit race a deterministic function of
-        # lock state; replay follows the recorded version, and implicit
-        # reacquirers defer to a parked gate (see _reacquire_implicit).
-        delay_interaction(act, self, event_type, lambda: (
-            self._owner is None and (replaying or not self._implicit_queue)))
+        delay_interaction(act, self, event_type, self._gate_ready)
         self._owner = act
         self._depth = depth
         increment_version(self)
+
+    def _gate_ready(self) -> bool:
+        """Readiness of a gated acquisition; monitor held. Recording gives
+        signaled waiters strict priority (FIFO), which makes the
+        implicit-vs-explicit race a deterministic function of lock state;
+        replay follows the recorded version, and implicit reacquirers
+        defer to a parked gate (see _reacquire_implicit)."""
+        return self._owner is None and (
+            not self._implicit_queue or self.execution.mode is REPLAY)
 
     def release(self) -> None:
         act = current_activity()
@@ -144,16 +147,14 @@ class RRLock(VersionedEntity):
         """Reacquire after a condition wait; FIFO among implicit waiters,
         deferring to any replayed gate parked for the current version."""
         # monitor held; heading the implicit queue implies a signal or timeout
-        watchdog_wait(
-            self._monitor,
-            lambda: (
-                self._owner is None
-                and self._implicit_queue
-                and self._implicit_queue[0] is waiter
-                and self.version not in self._monitor.due
-            ),
-            self.execution,
-        )
+        def may_go():
+            return (self._owner is None
+                    and self._implicit_queue
+                    and self._implicit_queue[0] is waiter
+                    and self.version not in self._monitor.due)
+
+        if not may_go():  # a record-mode timed wait may already go
+            watchdog_wait(self._monitor, may_go, self.execution)
         self._implicit_queue.popleft()
         self._owner = act
         self._depth = depth

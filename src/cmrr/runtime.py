@@ -242,7 +242,15 @@ class Execution:
             child = ThreadActivity(self, child_id, kind, entry, args, name)
             with self.live_lock:
                 self.live += 1
-            child.start()
+            try:
+                child.start()
+            except BaseException:
+                # The child never runs, so it never counts itself down.
+                with self.live_lock:
+                    self.live -= 1
+                    if not self.live and self.live_monitor.parked:
+                        self.live_monitor.notify_all()
+                raise
         return child
 
     # -- running ------------------------------------------------------------------
@@ -270,7 +278,8 @@ class Execution:
 
         try:
             with self.live_lock:
-                watchdog_wait(self.live_monitor, lambda: not self.live, self)
+                if self.live:
+                    watchdog_wait(self.live_monitor, lambda: not self.live, self)
         except BaseException as exc:  # noqa: BLE001
             self.abort(exc)
         self.actor_pool.shutdown()

@@ -126,8 +126,9 @@ def _try_commit(ctx: TxContext, act) -> bool:
     with commit_point._lock:
         if ex.mode is REPLAY:
             version = act.replay_queue.expect(TX_COMMIT)[1]
-            watchdog_wait(commit_point._monitor,
-                          lambda: commit_point.version == version, ex)
+            if commit_point.version != version:
+                watchdog_wait(commit_point._monitor,
+                              lambda: commit_point.version == version, ex)
         for ref, stamp in ctx.reads.items():
             if ref._stamp != stamp:
                 return False

@@ -11,30 +11,36 @@ every instrumented operation is built from:
 * ``increment_version`` bumps an entity's version counter (recording and
   replay) and wakes anyone parked on the entity's ``_monitor``,
 * ``delay_interaction`` is the gate, in every mode, of an operation
-  that takes its turn on an entity: in replay it blocks the operation
+  that takes its turn on an entity: in replay it holds the operation
   until the entity's version matches the version stored in the
   activity's next trace event (and, optionally, the operation's own
   readiness predicate holds), then consumes that event; otherwise it
-  waits for readiness and records the entity's current version.
+  holds it until it is ready and records the entity's current version.
+  A turn that has already come is taken inline, without entering the
+  wait layer.
 
 Call both with the entity's monitor held; neither enters it itself.
 
 Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
 ``record_interaction``, so every divergence is reported in one format.
 
-A blocked activity parks in ``watchdog_wait``: a model operation
-waiting for its entity, a join waiting for a thread, and the end of a run
-waiting for the last thread and busy actor. Its no-progress watchdog
-turns blocked-forever replays (corrupted trace, nondeterminism leak) into
-``ReplayDeadlock`` instead of hangs. One wait stays outside it: the
-wall-clock loop of a record-mode ``RRCondition.wait_timeout``, which
-waits on the lock's monitor directly and checks only for an abort.
+A blocked activity parks in ``watchdog_wait``, and only a blocked one:
+every caller tests its predicate first and enters only to park. It parks
+a model operation waiting for its entity, a join waiting for a thread,
+and the end of a run waiting for the last thread and busy actor, always
+in ``Monitor.wait``. Its no-progress watchdog turns blocked-forever
+replays (corrupted trace, nondeterminism leak) into ``ReplayDeadlock``
+instead of hangs, within the watchdog interval plus two ``WAIT_TICK``s.
+One wait stays outside it: the wall-clock loop of a record-mode
+``RRCondition.wait_timeout``, which waits on the lock's monitor directly
+and checks only for an abort.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from _thread import allocate_lock as _allocate_lock
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -171,14 +177,21 @@ class ReplayQueue:
 
 
 class Monitor(threading.Condition):
-    """Condition counting the threads parked in ``wait``. The count changes
-    only under the lock, so a waker holding it may skip ``notify_all``
-    when it reads 0: any waiter not counted has yet to test its predicate.
+    """Condition whose ``wait``, ``notify`` and ``notify_all`` are its own,
+    built on ``Condition``'s ``_waiters``, ``_release_save`` and
+    ``_acquire_restore``: one Python frame per park and no ownership
+    checks, so the caller must hold the lock. ``notify_all`` pops its
+    waiters. A timeout of 0 or less returns ``False`` at once, without
+    releasing the lock.
 
-    ``due`` holds the recorded versions that replayed gates on this
-    monitor await; only ``delay_interaction`` changes it, under the lock.
-    So while another thread holds the lock, every version in ``due``
-    belongs to a gate parked on this monitor."""
+    ``parked`` counts the threads in ``wait``. It changes only under the
+    lock, so a waker holding it may skip ``notify_all`` when it reads 0:
+    any waiter not counted has yet to test its predicate.
+
+    ``due`` holds the recorded versions that replayed gates parked on this
+    monitor await, and nothing else: a gate whose turn has come takes it
+    inline and files nothing, and only ``delay_interaction`` changes
+    ``due``, under the lock."""
 
     def __init__(self, lock):
         super().__init__(lock)
@@ -186,11 +199,36 @@ class Monitor(threading.Condition):
         self.due: list[int] = []
 
     def wait(self, timeout=None):
+        if timeout is not None and not timeout > 0:
+            return False
+        waiter = _allocate_lock()
+        waiter.acquire()
+        self._waiters.append(waiter)
         self.parked += 1
+        saved = self._release_save()
+        gotit = False
         try:
-            return threading.Condition.wait(self, timeout)  # cheaper than super()
+            gotit = waiter.acquire(True, -1 if timeout is None else timeout)
+            return gotit
         finally:
+            self._acquire_restore(saved)
             self.parked -= 1
+            if not gotit:
+                try:
+                    self._waiters.remove(waiter)
+                except ValueError:  # notified after its timeout
+                    pass
+
+    def notify(self, n=1):
+        waiters = self._waiters
+        while waiters and n > 0:
+            waiters.popleft().release()
+            n -= 1
+
+    def notify_all(self):
+        waiters = self._waiters
+        while waiters:
+            waiters.popleft().release()
 
 
 class VersionedEntity:
@@ -312,26 +350,28 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
 
     Call with the entity monitor held; ``ready`` is evaluated under it.
     Replay: verifies the head of the activity's replay queue has
-    ``expected_type``, waits once until ``entity.version`` equals the
-    version stored in that event and ``ready()`` (when given) holds, then
+    ``expected_type``, waits until ``entity.version`` equals the version
+    stored in that event and ``ready()`` (when given) holds, then
     consumes, logs and returns it as a ``(type, data)`` pair. Record and
     passive: waits for ``ready()``, records the event at the entity's
     current version (a no-op when passive) and returns ``None``.
 
-    The wait parks on ``monitor``, in every mode; it defaults to
-    ``entity._monitor``. An entity that keeps one wait set per kind of
-    waiter passes another ``Monitor`` over the same lock, and must then
-    notify it itself whenever the version or ``ready()`` may have turned
-    true for its waiters, since ``increment_version`` notifies only
-    ``entity._monitor``. In replay the awaited version is in
-    ``monitor.due`` for the wait, however it ends; a gate whose turn has
-    come never releases the lock, so others see only parked gates there.
+    A gate whose turn has already come takes it inline: it calls no
+    ``watchdog_wait`` and, in replay, files nothing. Only a gate that must
+    park enters ``watchdog_wait``, once, on ``monitor``, in every mode; it
+    defaults to ``entity._monitor``. An entity that keeps one wait set per
+    kind of waiter passes another ``Monitor`` over the same lock, and must
+    then notify it itself whenever the version or ``ready()`` may have
+    turned true for its waiters, since ``increment_version`` notifies only
+    ``entity._monitor``. A replayed gate that parks has its awaited
+    version in ``monitor.due`` for the wait, however it ends, so others
+    see there only the versions of parked gates.
     """
     ex = activity.execution
     if monitor is None:
         monitor = entity._monitor
     if ex.mode is not REPLAY:
-        if ready is not None:
+        if ready is not None and not ready():
             watchdog_wait(monitor, ready, ex)
         record_interaction(activity, expected_type, entity.version, entity=entity)
         return None
@@ -339,48 +379,51 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     queue = activity.replay_queue
     ev = queue.expect(expected_type)
     version = ev[1]
-    monitor.due.append(version)
-    try:
-        if ready is None:
-            watchdog_wait(monitor, lambda: entity.version == version, ex)
-        else:
-            watchdog_wait(monitor, lambda: entity.version == version and ready(), ex)
-    finally:
-        monitor.due.remove(version)
+    if entity.version != version or (ready is not None and not ready()):
+        monitor.due.append(version)
+        try:
+            watchdog_wait(monitor, lambda: entity.version == version and (
+                ready is None or ready()), ex)
+        finally:
+            monitor.due.remove(version)
     queue.advance()
     entity._log.append((activity.id, expected_type, version))
     ex.progress += 1
     return ev
 
 
-def watchdog_wait(cond: threading.Condition, predicate: Callable[[], bool],
-                  execution) -> None:
-    """Wait on ``cond`` until ``predicate()`` holds; where cmrr parks a
+def watchdog_wait(cond: Monitor, predicate: Callable[[], bool], execution) -> None:
+    """Park on ``cond`` until ``predicate()`` holds; where cmrr parks a
     blocked activity, except in a record-mode timed condition wait's
     wall-clock loop (``RRCondition.wait_timeout``).
 
-    The condition's lock must be held. Between wait ticks the wait
-    re-raises the execution's abort error, and in replay mode it raises
-    ``ReplayDeadlock`` once the execution's progress count has stood still
-    for the watchdog interval.
+    Entered only to park: the caller holds the condition's lock and has
+    found ``predicate()`` false, and the wait tests it only after each
+    wake-up. It raises the execution's abort error before the first park
+    and after each wake-up that finds the predicate false. In replay mode
+    it raises ``ReplayDeadlock`` once the execution's progress count has
+    stood still for the watchdog interval; the clock is read only after
+    such a wake-up, and a wait wakes at least every ``WAIT_TICK``, so a
+    stuck replay ends within the watchdog interval plus two ticks of
+    parking.
     """
-    if predicate():
-        return
-    progress = execution.progress
-    deadline = time.monotonic() + execution.watchdog_seconds
+    execution.check_abort()
+    replaying = execution.mode is REPLAY
+    progress = deadline = None
     while True:
+        cond.wait(WAIT_TICK)
+        if predicate():
+            return
         execution.check_abort()
-        if execution.mode is REPLAY:
-            if execution.progress != progress:
+        if replaying:
+            now = time.monotonic()
+            if deadline is None or execution.progress != progress:
                 progress = execution.progress
-                deadline = time.monotonic() + execution.watchdog_seconds
-            elif time.monotonic() >= deadline:
+                deadline = now + execution.watchdog_seconds
+            elif now >= deadline:
                 err = ReplayDeadlock(
                     f"no progress for {execution.watchdog_seconds:.1f}s while "
                     f"blocked in replay; trace and program have diverged"
                 )
                 execution.abort(err)
                 raise err
-        cond.wait(WAIT_TICK)
-        if predicate():
-            return

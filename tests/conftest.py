@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 
 import pytest
 
@@ -46,32 +47,35 @@ def passive_run(program, *args, **kwargs):
     return ex, ex.run(program, *args)
 
 
-def count_watchdog_waits(monkeypatch) -> list:
-    """Count ``watchdog_wait`` calls: returns a list that gains one entry
-    per call, at every binding of the function. Waits on the execution's
-    run-end monitor (joins and the run's end) are not counted: they wait
-    for threads and actors, not for a model operation."""
+def note_watchdog_waits(monkeypatch) -> list:
+    """Note ``watchdog_wait`` calls: returns a list that gains, per call at
+    every binding of the function, ``(monitor, blocked, thread_ident)``,
+    ``blocked`` telling whether the predicate was false on entry, as it
+    must be, since the wait layer is entered only to park. Waits on the
+    execution's run-end monitor (joins and the run's end) are not noted:
+    they wait for threads and actors, not for a model operation."""
     from cmrr import tracing
 
     original = tracing.watchdog_wait
-    calls = []
+    waits = []
 
-    def counting_wait(cond, predicate, execution):
+    def noting_wait(cond, predicate, execution):
         if cond is not execution.live_monitor:
-            calls.append(1)
+            # The caller holds the monitor, so the predicate may be tested.
+            waits.append((cond, not predicate(), threading.get_ident()))
         return original(cond, predicate, execution)
 
-    patch_bindings(monkeypatch, original, counting_wait)
-    return calls
+    patch_bindings(monkeypatch, original, noting_wait)
+    return waits
 
 
 def count_wasted_wakes(monkeypatch) -> tuple[list, list]:
     """Count the wake-ups of parked model waits that find their predicate
     still false, by wrapping the predicate that every binding of
     ``watchdog_wait`` receives. Returns ``(parked, wasted)``: ``parked``
-    gains one entry per wait that parked, ``wasted`` one per wake-up of it
-    that did not end the wait. Run-end waits are left out, as in
-    ``count_watchdog_waits``."""
+    gains one entry per wait, which parks, ``wasted`` one per wake-up of
+    it that did not end the wait. Run-end waits are left out, as in
+    ``note_watchdog_waits``."""
     from cmrr import tracing
 
     original = tracing.watchdog_wait
@@ -87,10 +91,9 @@ def count_wasted_wakes(monkeypatch) -> tuple[list, list]:
             return predicate()
 
         original(cond, counted, execution)
-        # One check before parking, one per wake-up; the last one passed.
-        if len(checks) > 1:
-            parked.append(1)
-            wasted.extend(checks[2:])
+        # One check per wake-up; the last one passed.
+        parked.append(1)
+        wasted.extend(checks[1:])
 
     patch_bindings(monkeypatch, original, counting_wait)
     return parked, wasted

@@ -1,6 +1,7 @@
 """Activity identity, spawning, and current-activity resolution."""
 
 import random
+import threading
 
 import pytest
 
@@ -15,7 +16,7 @@ from cmrr import (
     spawn_actor,
     spawn_thread,
 )
-from cmrr.activities import child_activity_id
+from cmrr.activities import ThreadActivity, child_activity_id
 from cmrr.errors import ReplayError, ReplayQueueExhausted, ReplayTypeMismatch
 from conftest import record_run, replay_run, rewrite_trace
 
@@ -166,3 +167,51 @@ def test_current_activity_identities():
         return "done"
 
     assert ex.run(program).outputs == "done"
+
+
+def _failed_start(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(ThreadActivity, "start", refuse)
+
+
+def _run_within(seconds, execution, program):
+    """Run ``program`` in its own thread; returns what ``run`` returned or
+    raised, or fails if it has not returned within ``seconds``."""
+    outcome = []
+
+    def runner():
+        try:
+            outcome.append(execution.run(program).outputs)
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    t = threading.Thread(target=runner, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "the run did not return"
+    return outcome[0]
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.PASSIVE, ExecutionMode.RECORD])
+def test_a_thread_that_fails_to_start_does_not_hold_up_the_run(mode, monkeypatch):
+    _failed_start(monkeypatch)
+
+    def program():
+        try:
+            spawn_thread(lambda: None)
+        except RuntimeError as exc:
+            return str(exc)
+
+    ex = Execution(mode, sink="discard")
+    assert _run_within(1.0, ex, program) == "can't start new thread"
+    assert ex.live == 0
+
+
+def test_a_failed_thread_start_that_is_not_caught_fails_the_run(monkeypatch):
+    _failed_start(monkeypatch)
+    outcome = _run_within(1.0, Execution(ExecutionMode.PASSIVE),
+                          lambda: spawn_thread(lambda: None))
+    assert isinstance(outcome, RuntimeError)
+    assert str(outcome) == "can't start new thread"

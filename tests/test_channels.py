@@ -8,9 +8,8 @@ from collections import Counter
 import pytest
 
 from cmrr import (Channel, EventType, Execution, ExecutionMode, PerturbationPlan, bench,
-                  parse_trace, spawn_process, tracing)
-from conftest import (count_watchdog_waits, passive_run, patch_bindings, record_run,
-                      replay_run)
+                  parse_trace, spawn_process)
+from conftest import note_watchdog_waits, passive_run, record_run, replay_run
 
 
 def test_single_pair_shares_one_version(trace_path):
@@ -183,20 +182,29 @@ def test_passive_mode_plain_rendezvous():
     assert result.outputs == {"got": [42], "version": 0}
 
 
-def test_each_rendezvous_makes_one_claim_wait_and_one_park(tmp_path, monkeypatch):
-    """A write claims the channel in one wait at the gate. Then only the
-    side of the rendezvous that arrived first parks, once: a reader for the
-    hand-off, or a writer for the take. A read that finds a value in the
-    slot does not wait at all. So a rendezvous with one reader makes two
+def test_each_rendezvous_parks_one_side_once(tmp_path, monkeypatch):
+    """Only the side of a rendezvous that arrived first parks, once: a
+    reader on ``_monitor`` for the hand-off, or a writer on ``_taken`` for
+    the take. A read that finds a value in the slot does not wait at all,
+    and a write waits to claim the channel, on ``_claims``, only when it
+    is blocked. So a rendezvous makes exactly one park besides any claim
     waits, in every mode."""
     path = str(tmp_path / "csp.trc")
     params = {"philosophers": 5, "rounds": 20}
-    calls = count_watchdog_waits(monkeypatch)
     rendezvous = 5 * 20 * 5 + 1  # five per meal, one to finish
-    for mode in ("passive", "record", "replay"):
-        calls.clear()
-        bench.run_benchmark("philosophers-csp", mode, trace_path=path, params=params)
-        assert len(calls) == 2 * rendezvous == 1002, mode
+    func = bench.REGISTRY["philosophers-csp"].func
+    waits = note_watchdog_waits(monkeypatch)
+    for mode in (ExecutionMode.PASSIVE, ExecutionMode.RECORD, ExecutionMode.REPLAY):
+        waits.clear()
+        ex = Execution(mode, trace_path=path, watchdog_seconds=10.0)
+        ex.run(func, params)
+        channels = [e for e in ex.entities if isinstance(e, Channel)]
+        parks = [m for m, _, _ in waits
+                 if any(m is ch._monitor or m is ch._taken for ch in channels)]
+        claims = [m for m, _, _ in waits if any(m is ch._claims for ch in channels)]
+        assert len(parks) == rendezvous == 501, mode
+        assert len(parks) + len(claims) == len(waits), mode
+        assert all(blocked for _, blocked, _ in waits), mode
     counts = Counter(e.event_type for queue in parse_trace(path).queues.values()
                      for e in queue.events)
     assert counts[EventType.CHANNEL_READ] == counts[EventType.CHANNEL_WRITE] == rendezvous
@@ -207,19 +215,6 @@ def _wait_for_parked_readers(ch, count):
     while len(ch._readers) < count:
         assert time.monotonic() < deadline, "the readers did not park"
         time.sleep(0.001)
-
-
-def _note_wait_monitors(monkeypatch) -> list:
-    """A list that gains the monitor of every ``watchdog_wait`` call."""
-    original = tracing.watchdog_wait
-    monitors = []
-
-    def noting_wait(cond, predicate, execution):
-        monitors.append(cond)
-        return original(cond, predicate, execution)
-
-    patch_bindings(monkeypatch, original, noting_wait)
-    return monitors
 
 
 def _parked_readers_program(channels, release_order):
@@ -248,16 +243,16 @@ def _parked_readers_program(channels, release_order):
 @pytest.mark.parametrize("mode", ["passive", "record", "replay"])
 def test_write_hands_its_value_to_a_parked_reader(mode, tmp_path, monkeypatch):
     path = str(tmp_path / "handoff.trc")
-    channels, monitors = [], _note_wait_monitors(monkeypatch)
+    channels, waits = [], note_watchdog_waits(monkeypatch)
 
     def run(mode):
-        monitors.clear()
+        waits.clear()
         result = Execution(mode, trace_path=path, watchdog_seconds=5.0).run(
             _parked_readers_program, channels, ("r1", "r2"))
         ch = channels[-1]
         # Both readers parked for a hand-off; neither write waited for a take.
-        assert sum(m is ch._monitor for m in monitors) == 2
-        assert not any(m is ch._taken for m in monitors)
+        assert sum(m is ch._monitor for m, _, _ in waits) == 2
+        assert not any(m is ch._taken for m, _, _ in waits)
         assert result.outputs == {"r1": "first", "r2": "second"}
         assert ch.check_version_completeness() is None
         return result
@@ -274,16 +269,16 @@ def test_replayed_write_passes_over_a_parked_reader_that_is_not_due(tmp_path, mo
     # but it awaits the second rendezvous, so the first write passes it
     # over and hands its value to r2.
     path = str(tmp_path / "due.trc")
-    channels, monitors = [], _note_wait_monitors(monkeypatch)
+    channels, waits = [], note_watchdog_waits(monkeypatch)
     recorded = Execution(ExecutionMode.RECORD, trace_path=path).run(
         _parked_readers_program, channels, ("r2", "r1"))
     assert recorded.outputs == {"r1": "second", "r2": "first"}
-    monitors.clear()
+    waits.clear()
     replayed = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=5.0).run(
         _parked_readers_program, channels, ("r1", "r2"))
     assert replayed.outputs == recorded.outputs
     assert replayed.digest == recorded.digest
-    assert not any(m is channels[-1]._taken for m in monitors)
+    assert not any(m is channels[-1]._taken for m, _, _ in waits)
 
 
 def _many_to_many_program(writers, readers, per_writer):

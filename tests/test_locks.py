@@ -14,7 +14,7 @@ from cmrr import (
     spawn_thread,
 )
 from cmrr.errors import NotOwner, ReplayTypeMismatch
-from conftest import count_watchdog_waits, passive_run, record_run, replay_run, rewrite_trace
+from conftest import note_watchdog_waits, passive_run, record_run, replay_run, rewrite_trace
 
 
 def _type_counts(trace, activity_id):
@@ -356,20 +356,34 @@ def _turn_program():
     return state
 
 
-@pytest.mark.parametrize("program, waits", [
-    (_turn_program, 5 + 10),   # 5 acquisitions, 4 + 3 + 2 + 1 condition waits
-    (_timeout_program, 2 + 2),  # 2 acquisitions, 2 timed waits
+@pytest.mark.parametrize("program, gated, condition_waits", [
+    (_turn_program, 5, 10),      # 5 acquisitions, 4 + 3 + 2 + 1 condition waits
+    (_timeout_program, 2 + 1, 1),  # 2 acquisitions, 1 timeout, 1 signaled wait
 ])
-def test_each_replayed_condition_wait_parks_once(trace_path, monkeypatch, program, waits):
-    """In replay every acquisition and every condition wait makes one
-    ``watchdog_wait`` call: a condition waiter parks once, until it heads
-    the implicit queue and may take the lock."""
+def test_each_replayed_condition_wait_parks_once(trace_path, monkeypatch, program,
+                                                gated, condition_waits):
+    """In replay every condition wait that awaits a signal parks exactly
+    once, until it heads the implicit queue and may take the lock; a gated
+    acquisition (explicit, or a simulated timeout) parks at most once, and
+    only when it is blocked."""
     ex, recorded = record_run(program, trace_path)
-    calls = count_watchdog_waits(monkeypatch)
+    waits = note_watchdog_waits(monkeypatch)
+    per_wait = []
+    reacquire = RRLock._reacquire_implicit
+
+    def noting_reacquire(lock, act, waiter, depth):
+        me = threading.get_ident()
+        before = sum(thread == me for _, _, thread in waits)
+        reacquire(lock, act, waiter, depth)
+        per_wait.append(sum(thread == me for _, _, thread in waits) - before)
+
+    monkeypatch.setattr(RRLock, "_reacquire_implicit", noting_reacquire)
     ex2, replayed = replay_run(program, trace_path)
     assert replayed.outputs == recorded.outputs
     assert replayed.digest == recorded.digest
-    assert len(calls) == waits
+    assert per_wait == [1] * condition_waits
+    assert len(waits) - condition_waits <= gated
+    assert all(blocked for _, blocked, _ in waits)
 
 
 def test_lock_order_invariant_from_entity_logs(trace_path):

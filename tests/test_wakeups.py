@@ -7,7 +7,9 @@ both halves of that rule: an uncontended operation makes no
 still woken at once, not by its next wait tick, by each kind of operation
 that can unblock it, and so are joins and the end of a run. A channel
 keeps one monitor per kind of waiter, and a test checks that its waits
-seldom wake to a predicate that is still false.
+seldom wake to a predicate that is still false. Over every benchmark, a
+model operation enters ``watchdog_wait`` only to park, and leaves no
+parked count or awaited version behind.
 """
 
 import threading
@@ -20,6 +22,7 @@ from cmrr import (
     EventType,
     Execution,
     ExecutionMode,
+    PerturbationPlan,
     Promise,
     RRLock,
     TraceEvent,
@@ -33,19 +36,21 @@ from cmrr import (
 )
 from cmrr.activities import ThreadActivity
 from cmrr.errors import ReplayDeadlock
-from cmrr.tracing import Monitor, watchdog_wait
-from conftest import count_wasted_wakes, rewrite_trace
+from cmrr.tracing import WAIT_TICK, Monitor, watchdog_wait
+from conftest import count_wasted_wakes, note_watchdog_waits, rewrite_trace
+from test_primitives import SMALL_PARAMS
 
 
 def test_uncontended_operations_make_no_notify_calls(monkeypatch):
-    original = threading.Condition.notify_all
     notified = []
+    for name in ("notify", "notify_all"):
+        original = getattr(Monitor, name)
 
-    def counting_notify_all(self):
-        notified.append(self)
-        return original(self)
+        def counting(self, *args, _original=original):
+            notified.append(self)
+            return _original(self, *args)
 
-    monkeypatch.setattr(threading.Condition, "notify_all", counting_notify_all)
+        monkeypatch.setattr(Monitor, name, counting)
 
     def program():
         lock, entity = RRLock(), VersionedEntity()
@@ -338,3 +343,63 @@ def test_no_awaited_version_stays_filed_after_a_replay_deadlock(tmp_path):
     # The write's claim awaits version 1: it parks in the gate with 1 in
     # ``_claims.due``, and the reader parks for a hand-off.
     _assert_nobody_parked(_replay_deadlock_with_bumped(EventType.CHANNEL_WRITE, tmp_path))
+
+
+def test_model_waits_park_only_when_blocked_and_leave_nothing_behind(tmp_path, monkeypatch):
+    """Every benchmark, under both strategies and in every mode: a model
+    operation enters ``watchdog_wait`` only with its predicate false, that
+    is only to park, and after the run no monitor has a parked thread or
+    an awaited version left."""
+    waits = note_watchdog_waits(monkeypatch)
+    assert sorted(SMALL_PARAMS) == sorted(bench.REGISTRY)
+    for name, params in SMALL_PARAMS.items():
+        spec = bench.REGISTRY[name]
+        params = {**spec.defaults, **params}
+        for strategy in ("sender", "receiver"):
+            path = str(tmp_path / f"{name}-{strategy}.trc")
+            digests = []
+            for mode in (ExecutionMode.PASSIVE, ExecutionMode.RECORD, ExecutionMode.REPLAY):
+                ex = Execution(mode, strategy=strategy, trace_path=path,
+                               watchdog_seconds=10.0,
+                               perturb=None if mode is ExecutionMode.REPLAY
+                               else PerturbationPlan(0))
+                digests.append(ex.run(spec.func, params).digest)
+                _assert_nobody_parked(ex)
+            assert digests[1] == digests[2], (name, strategy)
+    assert waits and [(m, b) for m, b, _ in waits if not b] == []
+
+
+def _stuck_under_wasted_wakes(seconds, pokes):
+    """Park the main activity for ever on an entity's monitor while a plain
+    thread notifies that monitor every 2 ms, which moves no progress."""
+    entity = VersionedEntity()
+    stop = threading.Event()
+
+    def poke():
+        while not stop.is_set():
+            with entity._lock:
+                entity._monitor.notify_all()
+            pokes.append(1)
+            time.sleep(0.002)
+
+    poker = threading.Thread(target=poke)
+    poker.start()
+    start = time.monotonic()
+    try:
+        with entity._lock:
+            watchdog_wait(entity._monitor, lambda: False, entity.execution)
+    finally:
+        seconds.append(time.monotonic() - start)
+        stop.set()
+        poker.join(5)
+
+
+def test_stuck_replay_woken_in_vain_ends_within_the_watchdog_and_two_ticks(tmp_path):
+    path = str(tmp_path / "empty.trc")
+    Execution(ExecutionMode.RECORD, trace_path=path).run(lambda: None)
+    seconds, pokes = [], []
+    with pytest.raises(ReplayDeadlock):
+        Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=0.5).run(
+            _stuck_under_wasted_wakes, seconds, pokes)
+    assert len(pokes) > 50
+    assert 0.5 <= seconds[0] < 0.5 + 2 * WAIT_TICK + 0.1, seconds
