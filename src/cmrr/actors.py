@@ -10,10 +10,13 @@ interchangeable recording strategies are supported, selected per run:
   races get their own versioned events.
 * receiver-side: the processing actor records the sender identity of each
   message (plus a per-sender sequence number for promise messages, split
-  into a separate preceding event); replay files each message under its
-  sender and takes the one the next recorded receive names.
+  into a separate preceding event); replay reads the actor's trace once to
+  find the place of each recorded receive, files each message under the
+  place of the receive that names it, and checks each receive as it
+  takes the message.
 
-Replay never blocks a pool worker waiting on a mailbox: an actor whose
+Either way, pending mail is keyed by consecutive ints and one loop drains
+it. Replay never blocks a pool worker waiting on a mailbox: an actor whose
 awaited message has not arrived simply yields and is rescheduled when it
 shows up.
 """
@@ -21,7 +24,8 @@ shows up.
 from __future__ import annotations
 
 import threading
-from collections import Counter, deque
+from collections import deque
+from itertools import count
 from typing import Any, Callable, Optional
 
 from .activities import (
@@ -34,11 +38,10 @@ from .errors import (
     AlreadyResolved,
     ExecutionAborted,
     ReplayError,
-    ReplayQueueExhausted,
     ReplayTypeMismatch,
     UsageError,
 )
-from .events import MSG_RCVD, MSG_SEND, PROMISE_MSG_STORE, PROMISE_RESOLVE, PROMMSG_RCVD, describe
+from .events import MSG_RCVD, MSG_SEND, PROMISE_MSG_STORE, PROMISE_RESOLVE, PROMMSG_RCVD
 from .tracefile import ActorStrategy
 from .tracing import (
     PASSIVE,
@@ -82,6 +85,23 @@ class _Mailbox(VersionedEntity):
     kind = "mailbox"
 
 
+def _receive_places(queue) -> dict:
+    """Receiver-side replay: where each receive in an actor's trace falls
+    in its processing order. Maps ``(sender, promise id)`` to a FIFO of
+    places, with id ``None`` for plain messages, and ``None`` to a count
+    of the places after them all, for messages that no receive names.
+    Reads the raw pairs and raises nothing: the drain checks each receive."""
+    places: dict = {}
+    place, promised = 0, None
+    for event_type, data in queue:
+        if event_type == MSG_RCVD:  # after PROMMSG_RCVD(id) if a promise message
+            places.setdefault((data, promised), deque()).append(place)
+            place += 1
+        promised = data if event_type == PROMMSG_RCVD else None
+    places[None] = count(place)
+    return places
+
+
 class ActorActivity(Activity):
     """An actor: activity plus mailbox, scheduled on the worker pool."""
 
@@ -93,20 +113,16 @@ class ActorActivity(Activity):
         self.mailbox_entity = _Mailbox()
         self._mailbox_lock = self.mailbox_entity._lock
         # Pending messages by key, attached at enqueue time: the recorded
-        # mailbox version under sender-side replay; under receiver-side
-        # replay ``(sender_id, n)`` for the sender's n-th plain message to
-        # the actor, or ``(sender_id, "promise", promise_message_id)``;
-        # otherwise the arrival index, ``_next + len(_mail)``. ``_next`` is
-        # the key the drain takes next; under receiver-side replay it is
-        # read from the trace head.
-        self._mail: dict[Any, Message] = {}
-        # Per sender, its plain messages that arrived (receiver-side replay)
-        # or its last send's version (sender-side); a dict reads faster.
+        # mailbox version under sender-side replay, the place of the
+        # recorded receive under receiver-side replay, otherwise the
+        # arrival index, ``_next + len(_mail)``. ``_next`` is the key the
+        # drain takes next.
+        self._mail: dict[int, Message] = {}
+        # Per sender, its last send's version (sender-side replay).
         self._arrived_from: dict[int, int] = {}
-        self._taken_from = Counter()
-        by_sender = (execution.mode is REPLAY
-                     and execution.strategy is RECEIVER_SIDE)
-        self._next = self._head_key() if by_sender else 0
+        self._places = (_receive_places(self.replay_queue) if execution.mode is REPLAY
+                        and execution.strategy is RECEIVER_SIDE else None)
+        self._next = 0
         # On the ready deque or in a slice; cleared at the slice's end.
         self._queued = False
         self.processed_log: list[tuple[int, int]] = []
@@ -150,13 +166,9 @@ class ActorActivity(Activity):
                 self._arrived_from[acting.id] = key
                 # The mailbox clock moves as in a recorded send.
                 increment_version(self.mailbox_entity)
-            elif ex.mode is REPLAY:  # receiver-side
-                sender = msg.sender_id
-                if msg.promise_message_id is None:
-                    key = (sender, self._arrived_from.get(sender, 0))
-                    self._arrived_from[sender] = key[1] + 1
-                else:
-                    key = (sender, "promise", msg.promise_message_id)
+            elif ex.mode is REPLAY:  # receiver-side: the place of its receive
+                fifo = self._places.get((msg.sender_id, msg.promise_message_id))
+                key = fifo.popleft() if fifo else next(self._places[None])
             else:
                 key = self._next + len(self._mail)
                 if recorded:
@@ -191,11 +203,15 @@ class ActorActivity(Activity):
             ex = self.execution
             with self._mailbox_lock:
                 self._queued = False
-                if self._mail and isinstance(self._next, ReplayError):
-                    # Mail is pending, but the trace head names no receive.
-                    ex.abort(self._next)
                 if self._next in self._mail:
                     self._schedule_if_needed()
+                elif self._mail and self._places is not None:
+                    # The awaited receive must still head the trace, or
+                    # the pending mail can never run: fail at once.
+                    try:
+                        self.replay_queue.expect(MSG_RCVD, PROMMSG_RCVD)
+                    except ReplayError as err:
+                        ex.abort(err)
                 elif not self._mail:
                     # Idle with no mail: the actor leaves the live count.
                     # Mail that cannot run yet keeps it there, so a replay
@@ -210,18 +226,15 @@ class ActorActivity(Activity):
     def _drain(self) -> None:
         ex = self.execution
         sender_side = ex.strategy is SENDER_SIDE
-        if ex.mode is REPLAY and not sender_side:
-            self._drain_by_sender()
-            return
         mail, mailbox, lock = self._mail, self.mailbox_entity, self._mailbox_lock
         log = mailbox._log if sender_side and ex.mode is not PASSIVE else None
-        records_senders = ex.mode is RECORD and not sender_side
+        traces_senders = not sender_side and ex.mode is not PASSIVE
         # At most the mail present at the slice's start: run_slice
         # reschedules the actor for what arrives meanwhile, so an actor
         # messaging itself cannot hold its worker for ever.
         budget = len(mail)
         while budget:
-            # Keys are consecutive ints here: take every one present from
+            # Keys are consecutive ints: take every one present from
             # ``_next`` up under one hold of the lock.
             with lock:
                 first = key = self._next
@@ -240,52 +253,15 @@ class ActorActivity(Activity):
                 log.extend([(msg.sender_id, MSG_SEND, key)
                             for key, msg in enumerate(batch, first)])
             for msg in batch:
-                if records_senders:
-                    # Receiver-side recording: trace who sent it.
+                if traces_senders:
+                    # Receiver-side: trace who sent it, or in replay check
+                    # it against the receive recorded at its place.
                     if msg.promise_message_id is not None:
                         record_interaction(self, PROMMSG_RCVD,
                                            msg.promise_message_id, entity=mailbox)
                     record_interaction(self, MSG_RCVD, msg.sender_id,
                                        entity=mailbox)
                 self._execute(msg)
-
-    def _drain_by_sender(self) -> None:
-        """Receiver-side replay: one message per hold of the lock, since the
-        next key comes from the trace head, which the handler's own events
-        move."""
-        mail, mailbox = self._mail, self.mailbox_entity
-        for _ in range(len(mail)):
-            with self._mailbox_lock:
-                msg = mail.pop(self._next, None)
-                if msg is None:
-                    return  # yield; rescheduled when the awaited key arrives
-            # Check and consume the events the key was read from.
-            if msg.promise_message_id is not None:
-                record_interaction(self, PROMMSG_RCVD,
-                                   msg.promise_message_id, entity=mailbox)
-            else:
-                self._taken_from[msg.sender_id] += 1
-            record_interaction(self, MSG_RCVD, msg.sender_id, entity=mailbox)
-            self._execute(msg)
-            self._next = self._head_key()
-
-    def _head_key(self):
-        """Receiver-side replay: the mailbox key of the message the trace
-        head names or, when it names none, the error reading it raises."""
-        queue = self.replay_queue
-        try:
-            head_type, data = queue.expect(MSG_RCVD, PROMMSG_RCVD)
-        except ReplayError as err:
-            return err
-        if head_type == MSG_RCVD:
-            return (data, self._taken_from[data])
-        second = queue.peek_second()
-        if second is not None and second[0] == MSG_RCVD:
-            return (second[1], "promise", data)
-        error = f"activity {self.id}: expected MSG_RCVD after PROMMSG_RCVD, "
-        if second is None:
-            return ReplayQueueExhausted(error + "trace is exhausted")
-        return ReplayTypeMismatch(error + f"trace holds {describe(second)}")
 
     def _execute(self, msg: Message) -> None:
         self.processed_log.append((msg.sender_id, msg.seq))

@@ -22,7 +22,8 @@ every instrumented operation is built from:
 Call both with the entity's monitor held; neither enters it itself.
 
 Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
-``record_interaction``, so every divergence is reported in one format.
+``record_interaction``, so every divergence is reported in one format; the
+one other reader, the scan for an actor's receive places, raises nothing.
 
 A blocked activity parks in ``watchdog_wait``, and only a blocked one:
 every caller tests its predicate first and enters only to park. It parks
@@ -42,7 +43,7 @@ import threading
 import time
 from _thread import allocate_lock as _allocate_lock
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import ReplayDeadlock, ReplayQueueExhausted, ReplayTypeMismatch
 from .events import EventType, TraceEvent, describe, pack_event
@@ -122,10 +123,8 @@ class ReplayQueue:
 
     Events are plain ``(type, data)`` pairs, as ``decode_payload`` parses
     them. ``expect`` checks the head's type and ``advance`` consumes it,
-    strictly in recorded order; ``peek`` never consumes. One event of
-    lookahead past the head is available: receiver-side actor replay reads
-    both events of a promise receive, PROMMSG_RCVD(id) then
-    MSG_RCVD(sender), to name the message before it has arrived.
+    strictly in recorded order; ``peek`` never consumes. Iterating yields
+    every raw pair, consumed or not.
     """
 
     def __init__(self, owner_id: int, events: Iterable[tuple[int, int]]):
@@ -135,6 +134,9 @@ class ReplayQueue:
 
     def __len__(self) -> int:
         return len(self._events) - self._pos
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._events)
 
     @property
     def consumed(self) -> int:
@@ -150,12 +152,6 @@ class ReplayQueue:
             return self._events[self._pos]
         except IndexError:
             return None
-
-    def peek_second(self) -> Optional[tuple[int, int]]:
-        """Look one event past the head without consuming."""
-        if self._pos + 1 < len(self._events):
-            return self._events[self._pos + 1]
-        return None
 
     def advance(self) -> None:
         """Consume the head that ``expect`` returned."""

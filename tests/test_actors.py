@@ -16,14 +16,20 @@ from cmrr import (
     EventType,
     Execution,
     ExecutionMode,
+    Message,
     PerturbationPlan,
     Promise,
+    RRLock,
     TraceEvent,
+    current_activity,
+    encode_event,
     parse_trace,
+    record_interaction,
     send,
     spawn_actor,
     spawn_thread,
 )
+from cmrr.activities import child_activity_id
 from cmrr.bench.support import CompletionLatch
 from cmrr.errors import (
     AlreadyResolved,
@@ -32,6 +38,7 @@ from cmrr.errors import (
     ReplayTypeMismatch,
     UsageError,
 )
+from cmrr.tracefile import strategy_to_flags, write_trace
 from conftest import passive_run, patch_bindings, record_run, replay_run, rewrite_trace
 
 
@@ -384,6 +391,128 @@ def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritt
     assert time.monotonic() - start < 1.0
 
 
+def _late_mail_program():
+    """An actor receives ``m0`` from main, then ``t0`` from a thread that
+    sends it under a lock, then ``m1``, which main sends after 0.1 s."""
+    processed = []
+    actor = spawn_actor(processed.append)
+    send(actor, "m0")
+    lock = RRLock()
+
+    def locked_sender():
+        with lock:
+            send(actor, "t0")
+
+    spawn_thread(locked_sender)
+    time.sleep(0.1)
+    send(actor, "m1")
+    return processed
+
+
+def test_pending_mail_under_a_head_that_names_no_receive_fails_at_once(trace_path):
+    """Receiver-side replay whose actor trace holds an event its handler
+    never reaches, where the next receive should be, fails as soon as a
+    slice ends with mail pending, naming the actor. The thread whose
+    message the actor awaits never sends it (its lock version is bumped
+    out of reach), so without that check the run would end only in the
+    watchdog."""
+    for _ in range(5):  # the thread's send must beat main's 0.1 s sleep
+        _, recorded = record_run(_late_mail_program, trace_path,
+                                 strategy=ActorStrategy.RECEIVER_SIDE)
+        if recorded.outputs == ["m0", "t0", "m1"]:
+            break
+    assert recorded.outputs == ["m0", "t0", "m1"]
+    actor_ids = []
+
+    def edit(activity_id, events):
+        types = [e.event_type for e in events]
+        if EventType.MSG_RCVD in types:
+            actor_ids.append(activity_id)
+            events.insert(types.index(EventType.MSG_RCVD) + 1, TraceEvent(EventType.LOCK, 0))
+        elif EventType.LOCK in types:
+            index = types.index(EventType.LOCK)
+            events[index] = TraceEvent(EventType.LOCK, events[index].data + 1)
+        return events
+
+    rewrite_trace(trace_path, edit)
+    start = time.monotonic()
+    with pytest.raises(ReplayTypeMismatch,
+                       match=rf"^activity {actor_ids[0]}: expected MSG_RCVD or PROMMSG_RCVD, "
+                             r"trace holds LOCK"):
+        replay_run(_late_mail_program, trace_path, watchdog=3.0)
+    assert time.monotonic() - start < 1.0
+
+
+_OTHER_EVENTS = st.tuples(st.sampled_from([EventType.LOCK, EventType.CHANNEL_READ,
+                                           EventType.TX_COMMIT, EventType.ACTIVITY_SPAWN]),
+                          st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       messages=st.lists(st.tuples(st.integers(1, 3), st.booleans(),
+                                   st.lists(_OTHER_EVENTS, max_size=2)),
+                         min_size=1, max_size=12),
+       unnamed=st.none() | st.tuples(st.integers(1, 4), st.booleans()))
+def test_receiver_replay_takes_mail_in_recorded_receive_order(tmp_path_factory, data,
+                                                              messages, unnamed):
+    """Receiver-side replay files each message under the place of the
+    receive that names it. Recorded receives of plain and promise messages
+    from several senders, with the handlers' own events in between, are
+    taken in recorded order whatever order the messages arrive in; one
+    sender's plain messages arrive in program order. A message that no
+    recorded receive names lands after them all, where the trace is
+    exhausted."""
+    actor_id = child_activity_id(0, 0)
+    promise_ids = Counter()
+    keys, actor_events = [], []
+    for sender, via_promise, _ in messages + ([unnamed + (None,)] if unnamed else []):
+        pid = None
+        if via_promise:
+            pid = promise_ids[sender]
+            promise_ids[sender] += 1
+        keys.append((sender, pid))
+    for (sender, pid), (_, _, others) in zip(keys, messages):
+        if pid is not None:
+            actor_events.append((EventType.PROMMSG_RCVD, pid))
+        actor_events.append((EventType.MSG_RCVD, sender))
+        actor_events.extend(others)
+    # A random arrival order; each sender's plain messages keep theirs.
+    delivery = data.draw(st.permutations(range(len(keys))))
+    for sender in {sender for sender, _ in keys}:
+        plain = sorted(i for i in delivery if keys[i] == (sender, None))
+        slots = [n for n, i in enumerate(delivery) if keys[i] == (sender, None)]
+        for n, i in zip(slots, plain):
+            delivery[n] = i
+
+    path = str(tmp_path_factory.mktemp("places") / "run.trc")
+    write_trace(path, strategy_to_flags(ActorStrategy.RECEIVER_SIDE),
+                [(0, encode_event(TraceEvent(EventType.ACTIVITY_SPAWN, actor_id))),
+                 (actor_id, b"".join(encode_event(TraceEvent(*e)) for e in actor_events))])
+    processed = []
+
+    def program():
+        def handler(index):
+            processed.append(index)
+            for event_type, value in messages[index][2]:
+                record_interaction(current_activity(), event_type, value)
+
+        actor = spawn_actor(handler)
+        main = current_activity()
+        for i in delivery:
+            sender, pid = keys[i]
+            actor.enqueue(Message(sender, i, i, promise_message_id=pid), main)
+
+    ex = Execution(ExecutionMode.REPLAY, trace_path=path, pool_size=1, watchdog_seconds=5)
+    if unnamed is None:
+        ex.run(program)
+    else:
+        with pytest.raises(ReplayQueueExhausted,
+                           match=rf"^activity {actor_id}: .*trace is exhausted$"):
+            ex.run(program)
+    assert processed == list(range(len(messages)))
+
+
 @pytest.mark.parametrize("swap", [False, True], ids=["duplicate", "swap"])
 def test_duplicate_recorded_send_version_fails_at_once(trace_path, swap):
     """Two sends recorded at one mailbox version, or one sender's first two
@@ -487,6 +616,32 @@ def test_actor_messages_stay_off_the_live_lock(tmp_path, mode):
     result = ex.run(program, params)
     assert result.outputs == {"sent": 2000, "total": 2000}
     assert lock.entries <= 50, lock.entries
+
+
+def test_receiver_replay_batches_its_mail(tmp_path, monkeypatch):
+    """Receiver-side replay keys mail by consecutive ints, as sender-side
+    replay does, so its drain takes the mail present under one hold of the
+    mailbox lock: the counter's 2,001 messages enter its mailbox lock at
+    most 50 times beyond once per send."""
+    from cmrr import bench
+    from cmrr.actors import ActorActivity
+
+    params = {"count": 2000}
+    path = str(tmp_path / "counting.trc")
+    bench.run_benchmark("counting-actors", "record", strategy="receiver",
+                        trace_path=path, params=params)
+    locks = {}
+    original_init = ActorActivity.__init__
+
+    def counting_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        locks[self.name] = self._mailbox_lock = _CountingLock()
+
+    monkeypatch.setattr(ActorActivity, "__init__", counting_init)
+    result = bench.run_benchmark("counting-actors", "replay", trace_path=path, params=params)
+    assert result.outputs == {"sent": 2000, "total": 2000}
+    sends = params["count"] + 1  # the counts, then the promise for the total
+    assert locks["counter"].entries <= sends + 50, locks["counter"].entries
 
 
 def _forwarding_flood():

@@ -303,18 +303,18 @@ def test_record_buffer_flush_threshold(monkeypatch):
     assert len(chunks) == 2
 
 
-def test_replay_queue_cursor_and_lookahead():
+def test_replay_queue_cursor_and_expect():
     events = [TraceEvent(EventType.LOCK, v) for v in range(3)]
     queue = ReplayQueue(1, events)
     assert queue.peek() == events[0]
-    assert queue.peek_second() == events[1]
     queue.advance()
     assert queue.peek() == events[1]
+    assert queue.consumed == 1
+    assert list(queue) == events  # every pair, without consuming
     assert queue.consumed == 1
     queue.advance()
     queue.advance()
     assert queue.peek() is None
-    assert queue.peek_second() is None
     with pytest.raises(ReplayQueueExhausted):
         queue.expect(EventType.LOCK)
 
