@@ -147,7 +147,7 @@ class ActorActivity(Activity):
                 # Non-blocking by design: attach the recorded version instead
                 # of delaying the send, so pool workers can always run.
                 queue = acting.replay_queue
-                key = queue.expect(MSG_SEND)[1]
+                key = queue.expect(MSG_SEND)
                 queue.advance()
                 # The version is trace input: a reused one would overwrite a
                 # pending message or never be drained, and one not above the
@@ -250,8 +250,8 @@ class ActorActivity(Activity):
             if log is not None:
                 # The sends traced the versions; note the processing order
                 # (== version order) for the run digest.
-                log.extend([(msg.sender_id, MSG_SEND, key)
-                            for key, msg in enumerate(batch, first)])
+                for key, msg in enumerate(batch, first):
+                    log.fromlist([msg.sender_id, MSG_SEND, key])
             for msg in batch:
                 if traces_senders:
                     # Receiver-side: trace who sent it, or in replay check
@@ -405,8 +405,8 @@ class Promise(VersionedEntity):
             return not self._resolved
         # The sender's own trace tells us which side of the store/resolve
         # race this operation was on.
-        head = acting.replay_queue.expect(PROMISE_MSG_STORE, MSG_SEND)
-        return head[0] == PROMISE_MSG_STORE
+        acting.replay_queue.expect(PROMISE_MSG_STORE, MSG_SEND)
+        return acting.replay_queue.peek()[0] == PROMISE_MSG_STORE
 
     # -- resolution -----------------------------------------------------------
 

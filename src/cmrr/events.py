@@ -79,22 +79,10 @@ def encode_event(event: TraceEvent) -> bytes:
 
 def decode_event(raw: bytes) -> TraceEvent:
     """Parse exactly 9 octets into a TraceEvent; the reference for
-    ``decode_payload``. Rejects tag 0 and unregistered tags."""
+    ``tracefile.decode_columns``. Rejects tag 0 and unregistered tags."""
     if len(raw) != EVENT_SIZE:
         raise TraceFormatError(f"event must be {EVENT_SIZE} octets, got {len(raw)}")
     return TraceEvent(*_EVENT_STRUCT.unpack(raw))
-
-
-def decode_payload(payload: bytes) -> list[tuple[int, int]]:
-    """Parse a chunk payload (a multiple of 9 octets) into its events, as
-    plain ``(type, data)`` pairs; each compares equal to its ``TraceEvent``.
-
-    An unregistered tag raises an error naming the first bad event's index."""
-    tags = payload[::EVENT_SIZE]
-    if not _VALID_TAGS.issuperset(tags):
-        index = next(i for i, tag in enumerate(tags) if tag not in _VALID_TAGS)
-        raise TraceFormatError(f"unregistered event tag {tags[index]} at event {index}")
-    return list(_EVENT_STRUCT.iter_unpack(payload))
 
 
 def describe(event: tuple[int, int]) -> str:

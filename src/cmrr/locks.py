@@ -198,9 +198,9 @@ class RRCondition:
         replaying = ex.mode is REPLAY
         with lock._lock:
             if replaying:
-                head_type, _ = act.replay_queue.expect(AWAIT_SIGNALED, AWAIT_TIMEOUT)
+                act.replay_queue.expect(AWAIT_SIGNALED, AWAIT_TIMEOUT)
             depth = lock._release_fully(act)
-            if replaying and head_type == AWAIT_TIMEOUT:
+            if replaying and act.replay_queue.peek()[0] == AWAIT_TIMEOUT:
                 lock._acquire_gated(act, AWAIT_TIMEOUT, depth)
                 return False
             waiter = _CondWaiter()

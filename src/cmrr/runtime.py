@@ -17,7 +17,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import count
 from typing import Any, Callable, Optional
 
 from .activities import (
@@ -95,8 +95,8 @@ class RunResult:
     actor_logs: dict = field(default_factory=dict)
 
 
-# Log entries formatted per hash update in ``Execution.compute_digest``.
-DIGEST_SLICE = 4096
+# Digest units (log entries, or channel rendezvous) formatted per hash update.
+DIGEST_SLICE = 512
 
 
 def _default_pool_size() -> int:
@@ -202,7 +202,7 @@ class Execution:
         elif self.mode is ExecutionMode.REPLAY:
             queue = self._queues.get(activity.id)
             if queue is None:
-                queue = ReplayQueue(activity.id, [])
+                queue = ReplayQueue(activity.id)
                 self._queues[activity.id] = queue
             activity.replay_queue = queue
         if self.perturb is not None:
@@ -335,11 +335,12 @@ class Execution:
             entities = sorted(self.entities, key=lambda e: e.entity_id)
         for entity in entities:
             h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
-            lines = entity.digest_lines()
+            unit, words = entity.digest_words()
+            width = unit.count(b"%")
             # Bounded slices: no bytes object as large as the whole log.
-            for start in range(0, len(lines), DIGEST_SLICE):
-                part = lines[start:start + DIGEST_SLICE]
-                h.update((b"|%d,%d,%d" * len(part)) % tuple(chain.from_iterable(part)))
+            for start in range(0, len(words), width * DIGEST_SLICE):
+                part = tuple(words[start:start + width * DIGEST_SLICE])
+                h.update(unit * (len(part) // width) % part)
         return h.hexdigest()
 
     def version_completeness_report(self) -> list[str]:

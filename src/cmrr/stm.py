@@ -125,7 +125,7 @@ def _try_commit(ctx: TxContext, act) -> bool:
     commit_point = ctx.commit_point
     with commit_point._lock:
         if ex.mode is REPLAY:
-            version = act.replay_queue.expect(TX_COMMIT)[1]
+            version = act.replay_queue.expect(TX_COMMIT)
             if commit_point.version != version:
                 watchdog_wait(commit_point._monitor,
                               lambda: commit_point.version == version, ex)

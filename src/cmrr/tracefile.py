@@ -18,11 +18,12 @@ import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import BinaryIO, Iterable
 
 from .errors import TraceFormatError
-from .events import EVENT_SIZE, decode_payload
-from .tracing import ReplayQueue
+from .events import _VALID_TAGS, EVENT_SIZE
+from .tracing import FLUSH_THRESHOLD, ReplayQueue
 
 MAGIC = b"CMRR"
 FORMAT_VERSION = 1
@@ -86,6 +87,27 @@ class TraceFile:
         return strategy_from_flags(self.strategy_flags)
 
 
+# Events unpacked per struct call, at most a full record buffer's chunk (456):
+# a damaged trace's huge chunk compiles no huge format to cache.
+DECODE_BLOCK = -(-FLUSH_THRESHOLD // EVENT_SIZE)
+_compiled = lru_cache(maxsize=4)(struct.Struct)
+
+
+def decode_columns(payload: bytes) -> tuple[bytes, list[int]]:
+    """Parse a chunk payload (a multiple of 9 octets) into two columns, its
+    type tags (one octet per event) and its data words. An unregistered
+    tag raises an error naming the first bad event's index."""
+    tags = payload[::EVENT_SIZE]
+    if not _VALID_TAGS.issuperset(tags):
+        index = next(i for i, tag in enumerate(tags) if tag not in _VALID_TAGS)
+        raise TraceFormatError(f"unregistered event tag {tags[index]} at event {index}")
+    words: list[int] = []
+    for first in range(0, len(tags), DECODE_BLOCK):
+        block = "<" + "xQ" * min(DECODE_BLOCK, len(tags) - first)
+        words += _compiled(block).unpack_from(payload, first * EVENT_SIZE)
+    return tags, words
+
+
 def parse_trace(path: str) -> TraceFile:
     """Parse a trace file into one ordered event queue per activity.
 
@@ -107,7 +129,7 @@ def parse_trace_bytes(data: bytes, path: str = "") -> TraceFile:
         raise TraceFormatError(f"unsupported format version {version}")
     strategy_from_flags(flags)  # validates reserved bits
 
-    events_per_activity: dict[int, list] = {}
+    columns: dict[int, tuple[list[int], list[int]]] = {}
     offset = HEADER_SIZE
     chunk_count = 0
     while offset < len(data):
@@ -122,15 +144,17 @@ def parse_trace_bytes(data: bytes, path: str = "") -> TraceFile:
         if start + payload_len > len(data):
             raise TraceFormatError("truncated chunk payload")
         try:
-            events = decode_payload(data[start:start + payload_len])
+            tags, words = decode_columns(data[start:start + payload_len])
         except TraceFormatError as exc:
             where = f"activity {activity_id}, chunk at offset {offset}"
             raise TraceFormatError(f"{where}: {exc}") from None
-        events_per_activity.setdefault(activity_id, []).extend(events)
+        all_types, all_words = columns.setdefault(activity_id, ([], []))
+        all_types += tags
+        all_words += words
         offset = start + payload_len
         chunk_count += 1
 
-    queues = {aid: ReplayQueue(aid, events) for aid, events in events_per_activity.items()}
+    queues = {aid: ReplayQueue(aid, types, words) for aid, (types, words) in columns.items()}
     return TraceFile(format_version=version, strategy_flags=flags, queues=queues,
                      chunk_count=chunk_count, file_size=len(data), path=path)
 

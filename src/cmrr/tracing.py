@@ -24,6 +24,9 @@ Call both with the entity's monitor held; neither enters it itself.
 Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
 ``record_interaction``, so every divergence is reported in one format; the
 one other reader, the scan for an actor's receive places, raises nothing.
+Events are columns of machine words, not one tuple each: a replay queue
+holds its type tags and data words in two lists (``expect`` returns the
+head's data word), and an entity's log is one flat ``array('Q')``.
 
 A blocked activity parks in ``watchdog_wait``, and only a blocked one:
 every caller tests its predicate first and enters only to park. It parks
@@ -42,8 +45,9 @@ from __future__ import annotations
 import threading
 import time
 from _thread import allocate_lock as _allocate_lock
+from array import array
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .errors import ReplayDeadlock, ReplayQueueExhausted, ReplayTypeMismatch
 from .events import EventType, TraceEvent, describe, pack_event
@@ -121,22 +125,24 @@ class RecordBuffer:
 class ReplayQueue:
     """Ordered per-activity event sequence with a consuming cursor.
 
-    Events are plain ``(type, data)`` pairs, as ``decode_payload`` parses
-    them. ``expect`` checks the head's type and ``advance`` consumes it,
+    The events are two columns, as the chunk decoder parses them: ``_types``,
+    the type tags, and ``_words``, the data words. ``expect`` checks the
+    head's type and returns its data word, and ``advance`` consumes it,
     strictly in recorded order; ``peek`` never consumes. Iterating yields
-    every raw pair, consumed or not.
+    every raw ``(type, data)`` pair, consumed or not.
     """
 
-    def __init__(self, owner_id: int, events: Iterable[tuple[int, int]]):
+    def __init__(self, owner_id: int, types: Sequence[int] = (), words: Sequence[int] = ()):
         self.owner_id = owner_id
-        self._events = list(events)
+        self._types = types
+        self._words = words
         self._pos = 0
 
     def __len__(self) -> int:
-        return len(self._events) - self._pos
+        return len(self._types) - self._pos
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._events)
+        return zip(self._types, self._words)
 
     @property
     def consumed(self) -> int:
@@ -145,29 +151,29 @@ class ReplayQueue:
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The full recorded sequence, including consumed events."""
-        return tuple(map(TraceEvent._make, self._events))
+        return tuple(map(TraceEvent, self._types, self._words))
 
     def peek(self) -> Optional[tuple[int, int]]:
-        try:  # cheaper than a len() call on the replay hot path
-            return self._events[self._pos]
-        except IndexError:
-            return None
+        pos = self._pos
+        return (self._types[pos], self._words[pos]) if pos < len(self._types) else None
 
     def advance(self) -> None:
-        """Consume the head that ``expect`` returned."""
+        """Consume the head that ``expect`` checked."""
         self._pos += 1
 
-    def expect(self, *event_types: int) -> tuple[int, int]:
-        """Peek the head and verify its type is one of ``event_types``;
-        does not consume. The one check of what the trace may hold next."""
+    def expect(self, *event_types: int) -> int:
+        """Verify the head's type is one of ``event_types`` and return its
+        data word; does not consume. The one check of what the trace may
+        hold next."""
+        pos = self._pos
         try:
-            ev = self._events[self._pos]
+            event_type = self._types[pos]
         except IndexError:
             error, found = ReplayQueueExhausted, "trace is exhausted"
         else:
-            if ev[0] in event_types:
-                return ev
-            error, found = ReplayTypeMismatch, f"trace holds {describe(ev)}"
+            if event_type in event_types:
+                return self._words[pos]
+            error, found = ReplayTypeMismatch, f"trace holds {describe(self.peek())}"
         names = " or ".join(EventType(t).name for t in event_types)
         raise error(f"activity {self.owner_id}: expected {names}, {found}")
 
@@ -239,7 +245,8 @@ class VersionedEntity:
     wakes only the waiters it can release; a channel parks its writers
     apart from its readers. The entity also keeps an in-memory log of the
     interactions it saw (recorded in recording mode, consumed in replay
-    mode), which feeds run digests and version-completeness checks.
+    mode), which feeds run digests and version-completeness checks: ``_log``
+    holds three words per interaction, its activity's id, type and data.
     """
 
     kind = "entity"
@@ -259,15 +266,20 @@ class VersionedEntity:
         # context manager of ``Condition``; every model operation uses it.
         self._lock = threading.RLock()
         self._monitor = Monitor(self._lock)
-        self._log: list[tuple[int, int, int]] = []
+        self._log = array("Q")
         execution.register_entity(self)
 
     def note(self, activity_id: int, event_type: int, data: int) -> None:
         """Append one interaction to the entity-order log (monitor held)."""
-        self._log.append((activity_id, event_type, data))
+        self._log.fromlist([activity_id, event_type, data])
 
     def log_entries(self) -> list[tuple[int, int, int]]:
-        return list(self._log)
+        return list(zip(*[iter(self._log)] * 3))
+
+    def digest_words(self) -> tuple[bytes, Sequence[int]]:
+        """The run digest's format of one unit of the log, here one entry,
+        and the words that fill the units, in ``digest_lines`` order."""
+        return b"|%d,%d,%d", self._log
 
     def digest_lines(self) -> list[tuple[int, int, int]]:
         """Canonical interaction order fed into the run digest."""
@@ -275,7 +287,7 @@ class VersionedEntity:
 
     def recorded_versions(self) -> list[int]:
         """Sorted data words of the version-carrying events this entity saw."""
-        return sorted(d for (_, t, d) in self._log if t in VERSION_EVENT_TYPES)
+        return sorted(d for (_, t, d) in self.log_entries() if t in VERSION_EVENT_TYPES)
 
     def check_version_completeness(self) -> Optional[str]:
         """None when the recorded versions form the gap-free multiset
@@ -305,18 +317,17 @@ def record_interaction(activity: "Activity", event_type: int, data: int,
         activity.buffer.put(event_type, data)
     elif ex.mode is REPLAY:
         queue = activity.replay_queue
-        ev = queue.expect(event_type)
-        if ev[1] != data:
+        if queue.expect(event_type) != data:
             on = "" if entity is None else f" on {entity.kind} {entity.entity_id}"
             raise ReplayTypeMismatch(
                 f"activity {activity.id}: {describe((event_type, data))}{on}, "
-                f"trace holds {describe(ev)}")
-        queue.advance()
+                f"trace holds {describe(queue.peek())}")
+        queue._pos += 1  # advance(), without the call
         ex.progress += 1
     else:
         return
     if entity is not None:
-        entity._log.append((activity.id, event_type, data))
+        entity._log.fromlist([activity.id, event_type, data])
 
 
 def increment_version(entity: VersionedEntity) -> int:
@@ -340,7 +351,7 @@ def increment_version(entity: VersionedEntity) -> int:
 def delay_interaction(activity: "Activity", entity: VersionedEntity,
                       expected_type: int,
                       ready: Optional[Callable[[], bool]] = None,
-                      monitor: Optional[Monitor] = None) -> Optional[tuple[int, int]]:
+                      monitor: Optional[Monitor] = None) -> Optional[int]:
     """The one gate of an ``expected_type`` interaction on ``entity``:
     wait until the activity may perform it, and trace it.
 
@@ -348,7 +359,7 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     Replay: verifies the head of the activity's replay queue has
     ``expected_type``, waits until ``entity.version`` equals the version
     stored in that event and ``ready()`` (when given) holds, then
-    consumes, logs and returns it as a ``(type, data)`` pair. Record and
+    consumes and logs it and returns that version. Record and
     passive: waits for ``ready()``, records the event at the entity's
     current version (a no-op when passive) and returns ``None``.
 
@@ -373,8 +384,7 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
         return None
     activity.perturb_point()
     queue = activity.replay_queue
-    ev = queue.expect(expected_type)
-    version = ev[1]
+    version = queue.expect(expected_type)
     if entity.version != version or (ready is not None and not ready()):
         monitor.due.append(version)
         try:
@@ -382,10 +392,10 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
                 ready is None or ready()), ex)
         finally:
             monitor.due.remove(version)
-    queue.advance()
-    entity._log.append((activity.id, expected_type, version))
+    queue._pos += 1  # advance(), without the call
+    entity._log.fromlist([activity.id, expected_type, version])
     ex.progress += 1
-    return ev
+    return version
 
 
 def watchdog_wait(cond: Monitor, predicate: Callable[[], bool], execution) -> None:

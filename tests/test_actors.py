@@ -356,13 +356,13 @@ def test_replay_divergence_in_handler_aborts_the_run(tmp_path, strategy, error, 
     (ActorStrategy.SENDER_SIDE, EventType.PROMISE_MSG_STORE, None),
     (ActorStrategy.RECEIVER_SIDE, EventType.MSG_RCVD, None),
     (ActorStrategy.RECEIVER_SIDE, EventType.MSG_RCVD, EventType.PROMMSG_RCVD),
-], ids=["sender", "receiver", "receiver-lookahead"])
+], ids=["sender", "receiver", "receiver-after-promise"])
 def test_replay_with_wrong_head_names_the_activity(trace_path, strategy, rewritten, after):
     """A promise operation (sender strategy), a receive (receiver
-    strategy) or the sender event a promise receive looks ahead to, that
-    meets another event type, fails the replay at once, naming the
-    activity whose trace it read. ``after`` restricts the rewrite to an
-    event that follows one of that type."""
+    strategy) or the sender receive that follows a promise receive's
+    ``PROMMSG_RCVD``, that meets another event type, fails the replay at
+    once, naming the activity whose trace it read. ``after`` restricts the
+    rewrite to an event that follows one of that type."""
     def program():
         latch = CompletionLatch(2)
         owner = spawn_actor(lambda msg: latch.count_down())

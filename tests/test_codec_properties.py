@@ -1,4 +1,4 @@
-"""Property tests of the trace codec.
+"""Property tests of the trace tracefile.
 
 The bulk chunk decoder must agree with the single-event reference decoder
 on every input, and no damaged trace may raise anything but a
@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmrr import EVENT_SIZE, EventType, Execution, MemorySink, TraceEvent, bench, tracing
+from cmrr import (EVENT_SIZE, EventType, Execution, MemorySink, TraceEvent, bench, tracefile,
+                  tracing)
 from cmrr.errors import TraceFormatError
-from cmrr.events import decode_event, decode_payload, encode_event, pack_event
-from cmrr.tracefile import parse_trace_bytes
+from cmrr.events import decode_event, encode_event, pack_event
+from cmrr.tracefile import decode_columns, parse_trace_bytes
 
 _REGISTERED = sorted(int(t) for t in EventType)
 _U64 = st.integers(0, 2**64 - 1)
@@ -65,12 +66,32 @@ def test_payload_tag_check_matches_reference(pairs):
     payload = b"".join(pack_event(tag, data) for tag, data in pairs)
     bad = [i for i, (tag, _) in enumerate(pairs) if tag not in _REGISTERED]
     if not bad:
-        assert decode_payload(payload) == _reference_decode(payload)
+        tags, words = decode_columns(payload)
+        assert list(zip(tags, words)) == _reference_decode(payload)
         return
     with pytest.raises(TraceFormatError, match=f"at event {bad[0]}$"):
-        decode_payload(payload)
+        decode_columns(payload)
     with pytest.raises(TraceFormatError):
         _reference_decode(payload)
+
+
+def test_huge_chunk_parses_in_bounded_blocks():
+    """A chunk far beyond a record buffer's size, as a damaged file may
+    declare, parses in blocks: no struct format for the whole chunk is
+    compiled, and the cache of compiled formats stays small."""
+    count = 200_000
+    payload = b"".join(pack_event(EventType.LOCK, i) for i in range(count))
+    tracefile._compiled.cache_clear()
+    with mock.patch.object(tracefile, "_compiled", wraps=tracefile._compiled) as compiled:
+        trace = parse_trace_bytes(_file([(3, payload)]))
+    queue = trace.queues[3]
+    assert len(queue) == count
+    assert queue.expect(EventType.LOCK) == 0
+    assert list(queue)[-1] == (EventType.LOCK, count - 1)
+    assert max(len(call.args[0]) for call in compiled.call_args_list) \
+        == 1 + 2 * tracefile.DECODE_BLOCK
+    cache = tracefile._compiled.cache_info()
+    assert cache.currsize <= cache.maxsize <= 8
 
 
 @functools.cache

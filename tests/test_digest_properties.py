@@ -66,3 +66,44 @@ def test_digest_of_logs_longer_than_a_slice_matches_the_reference():
     ex = Execution(ExecutionMode.PASSIVE)
     result = ex.run(program)
     assert result.digest == _reference_digest(ex, "done")
+
+
+@st.composite
+def _run_shaped_logs(draw):
+    """A channel log as a run leaves it: one read and one write per
+    version, each kind in version order, the two kinds merged at random.
+    Sometimes both kinds take the versions in another order, as no run
+    logs them."""
+    versions = draw(st.integers(0, 8))
+    order = list(range(versions))
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    kinds = draw(st.permutations([EventType.CHANNEL_READ] * versions
+                                 + [EventType.CHANNEL_WRITE] * versions))
+    seen = {EventType.CHANNEL_READ: 0, EventType.CHANNEL_WRITE: 0}
+    log = []
+    for kind in kinds:
+        log.append((draw(st.integers(0, 3)), int(kind), order[seen[kind]]))
+        seen[kind] += 1
+    return log
+
+
+_small_entries = st.tuples(st.integers(0, 3), st.sampled_from(_TYPES), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_run_shaped_logs(), st.lists(_small_entries, max_size=12)))
+def test_channel_digest_order_is_version_type_activity(log):
+    """A channel's digest lines are its entries in (version, type,
+    activity) order, and the digest hashes them in that order, whether it
+    formats them one entry or one rendezvous at a time."""
+    def program():
+        channel = Channel()
+        for activity_id, event_type, data in log:
+            channel.note(activity_id, event_type, data)
+        return channel.digest_lines()
+
+    ex = Execution(ExecutionMode.PASSIVE)
+    result = ex.run(program)
+    assert result.outputs == sorted(log, key=lambda entry: (entry[2], entry[1], entry[0]))
+    assert result.digest == _reference_digest(ex, result.outputs)

@@ -143,8 +143,8 @@ def test_delay_interaction_returns_immediately_on_match(tmp_path):
     def program():
         entity = VersionedEntity()
         entity.version = 3
-        event = delay_interaction(current_activity(), entity, EventType.LOCK)
-        assert event == TraceEvent(EventType.LOCK, 3)
+        version = delay_interaction(current_activity(), entity, EventType.LOCK)
+        assert version == 3
         assert len(current_activity().replay_queue) == 0
 
     ex.run(program)
@@ -170,10 +170,10 @@ def test_delay_interaction_unblocks_on_cross_activity_increment(tmp_path):
 
         child = spawn_thread(incrementer)
         with entity._lock:
-            event = delay_interaction(current_activity(), entity, EventType.LOCK)
+            version = delay_interaction(current_activity(), entity, EventType.LOCK)
         timeline.append("unblocked")
         child.join()
-        assert event[1] == 1
+        assert version == 1
         assert timeline == ["increment", "unblocked"]
 
     ex.run(program)
@@ -205,11 +205,11 @@ def test_delay_interaction_waits_for_version_and_ready(tmp_path):
 
         child = spawn_thread(helper)
         with entity._monitor:
-            event = delay_interaction(current_activity(), entity, EventType.LOCK,
-                                      lambda: state["ready"])
+            version = delay_interaction(current_activity(), entity, EventType.LOCK,
+                                        lambda: state["ready"])
             timeline.append("unblocked")
         child.join()
-        assert event == TraceEvent(EventType.LOCK, 1)
+        assert version == 1
         assert timeline == ["increment", "ready", "unblocked"]
         assert entity.log_entries() == [(0, EventType.LOCK, 1)]
 
@@ -303,9 +303,13 @@ def test_record_buffer_flush_threshold(monkeypatch):
     assert len(chunks) == 2
 
 
+def _queue(owner_id, events):
+    return ReplayQueue(owner_id, bytes(t for t, _ in events), [d for _, d in events])
+
+
 def test_replay_queue_cursor_and_expect():
     events = [TraceEvent(EventType.LOCK, v) for v in range(3)]
-    queue = ReplayQueue(1, events)
+    queue = _queue(1, events)
     assert queue.peek() == events[0]
     queue.advance()
     assert queue.peek() == events[1]
@@ -318,12 +322,12 @@ def test_replay_queue_cursor_and_expect():
     with pytest.raises(ReplayQueueExhausted):
         queue.expect(EventType.LOCK)
 
-    mixed = ReplayQueue(7, [TraceEvent(EventType.LOCK, 0), TraceEvent(EventType.MSG_SEND, 4),
-                            TraceEvent(EventType.TX_COMMIT, 2)])
+    mixed = _queue(7, [TraceEvent(EventType.LOCK, 0), TraceEvent(EventType.MSG_SEND, 4),
+                       TraceEvent(EventType.TX_COMMIT, 2)])
     either = (EventType.MSG_SEND, EventType.LOCK)
-    assert mixed.expect(*either) == TraceEvent(EventType.LOCK, 0)
+    assert mixed.expect(*either) == 0  # the head's data word
     mixed.advance()
-    assert mixed.expect(*either) == TraceEvent(EventType.MSG_SEND, 4)
+    assert mixed.expect(*either) == 4
     mixed.advance()
     with pytest.raises(ReplayTypeMismatch, match=r"^activity 7: expected MSG_SEND or LOCK, "
                                                  r"trace holds TX_COMMIT\(data=2\)$"):

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from cmrr import EventType, TraceEvent, encode_event, parse_trace
+from cmrr import EventType, Execution, MemorySink, TraceEvent, bench, encode_event, parse_trace
 from cmrr.errors import TraceFormatError
+from cmrr.events import pack_event
 from cmrr.tracefile import (
     CHUNK_HEADER_SIZE,
     HEADER_SIZE,
@@ -143,3 +144,26 @@ def test_strategy_flags():
     assert strategy_from_flags(1) is ActorStrategy.RECEIVER_SIDE
     with pytest.raises(TraceFormatError):
         strategy_from_flags(0x2)
+
+
+_SMALL = {"philosophers-locks": {"rounds": 30}, "philosophers-stm": {"rounds": 30},
+          "philosophers-csp": {"rounds": 30}, "pingpong-actors": {"rounds": 100},
+          "counting-actors": {"count": 600}, "fj-creation-actors": {},
+          "sales-pipeline": {"records": 20}}
+
+
+@pytest.mark.parametrize("name", sorted(bench.REGISTRY))
+def test_parsed_columns_reencode_to_the_recorded_payloads(name):
+    """Each activity's parsed type and word columns, encoded again event by
+    event, are exactly the octets its recorded chunks held."""
+    assert set(_SMALL) == set(bench.REGISTRY)
+    spec = bench.REGISTRY[name]
+    sink = MemorySink()
+    Execution("record", sink=sink).run(spec.func, dict(spec.defaults, **_SMALL[name]))
+    recorded: dict[int, bytes] = {}
+    for activity_id, payload in sink.chunks:
+        recorded[activity_id] = recorded.get(activity_id, b"") + payload
+    trace = parse_trace_bytes(sink.as_bytes())
+    assert recorded.keys() == trace.queues.keys()
+    for activity_id, queue in trace.queues.items():
+        assert b"".join(map(pack_event, queue._types, queue._words)) == recorded[activity_id]
