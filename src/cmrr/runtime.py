@@ -95,7 +95,7 @@ class RunResult:
     actor_logs: dict = field(default_factory=dict)
 
 
-# Digest units (log entries, or channel rendezvous) formatted per hash update.
+# Log entries formatted per hash update in ``Execution.compute_digest``.
 DIGEST_SLICE = 512
 
 
@@ -335,12 +335,11 @@ class Execution:
             entities = sorted(self.entities, key=lambda e: e.entity_id)
         for entity in entities:
             h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
-            unit, words = entity.digest_words()
-            width = unit.count(b"%")
+            words = entity.digest_words()
             # Bounded slices: no bytes object as large as the whole log.
-            for start in range(0, len(words), width * DIGEST_SLICE):
-                part = tuple(words[start:start + width * DIGEST_SLICE])
-                h.update(unit * (len(part) // width) % part)
+            for start in range(0, len(words), 3 * DIGEST_SLICE):
+                part = tuple(words[start:start + 3 * DIGEST_SLICE])
+                h.update(b"|%d,%d,%d" * (len(part) // 3) % part)
         return h.hexdigest()
 
     def version_completeness_report(self) -> list[str]:

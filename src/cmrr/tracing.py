@@ -276,10 +276,9 @@ class VersionedEntity:
     def log_entries(self) -> list[tuple[int, int, int]]:
         return list(zip(*[iter(self._log)] * 3))
 
-    def digest_words(self) -> tuple[bytes, Sequence[int]]:
-        """The run digest's format of one unit of the log, here one entry,
-        and the words that fill the units, in ``digest_lines`` order."""
-        return b"|%d,%d,%d", self._log
+    def digest_words(self) -> Sequence[int]:
+        """The words of ``digest_lines``, three per entry, end to end."""
+        return self._log
 
     def digest_lines(self) -> list[tuple[int, int, int]]:
         """Canonical interaction order fed into the run digest."""

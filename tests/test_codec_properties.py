@@ -1,4 +1,4 @@
-"""Property tests of the trace tracefile.
+"""Property tests of the trace codec.
 
 The bulk chunk decoder must agree with the single-event reference decoder
 on every input, and no damaged trace may raise anything but a

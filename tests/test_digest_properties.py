@@ -95,8 +95,7 @@ _small_entries = st.tuples(st.integers(0, 3), st.sampled_from(_TYPES), st.intege
 @given(st.one_of(_run_shaped_logs(), st.lists(_small_entries, max_size=12)))
 def test_channel_digest_order_is_version_type_activity(log):
     """A channel's digest lines are its entries in (version, type,
-    activity) order, and the digest hashes them in that order, whether it
-    formats them one entry or one rendezvous at a time."""
+    activity) order, and the digest hashes them in that order."""
     def program():
         channel = Channel()
         for activity_id, event_type, data in log:
