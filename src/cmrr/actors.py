@@ -39,6 +39,7 @@ from .errors import (
     ExecutionAborted,
     ReplayError,
     ReplayTypeMismatch,
+    TraceFormatError,
     UsageError,
 )
 from .events import MSG_RCVD, MSG_SEND, PROMISE_MSG_STORE, PROMISE_RESOLVE, PROMMSG_RCVD
@@ -267,9 +268,10 @@ class ActorActivity(Activity):
         self.processed_log.append((msg.sender_id, msg.seq))
         try:
             (msg.callback or self._handler)(msg.payload)
-        except (ExecutionAborted, ReplayError):
+        except (ExecutionAborted, ReplayError, TraceFormatError):
             # A replay divergence inside the handler (say, a send beyond
-            # the recorded ones) aborts the run through run_slice.
+            # the recorded ones) or a recorded chunk that fails validation
+            # aborts the run through run_slice.
             raise
         except BaseException as exc:  # noqa: BLE001
             # Handler errors are deterministic under replay; keep them in

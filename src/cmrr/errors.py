@@ -7,7 +7,8 @@ class CmrrError(Exception):
 
 class TraceFormatError(CmrrError):
     """Trace bytes violate the on-disk format: bad magic, unsupported
-    version, bad framing, or an unregistered event tag."""
+    version, bad framing, or an unregistered event tag; or an event being
+    recorded has no 9-octet encoding."""
 
 
 class ReplayError(CmrrError):

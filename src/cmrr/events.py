@@ -12,12 +12,17 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from enum import IntEnum
+from functools import lru_cache
 
 from .errors import TraceFormatError
 
 EVENT_SIZE = 9
 
 _EVENT_STRUCT = struct.Struct("<BQ")
+
+# Compiled whole-chunk formats, shared by the record buffer's packer and the
+# chunk decoder; bounded, so no run caches a format per chunk length.
+_compiled = lru_cache(maxsize=4)(struct.Struct)
 
 
 class EventType(IntEnum):
@@ -49,6 +54,9 @@ class EventType(IntEnum):
  ACTIVITY_SPAWN) = map(int, EventType)
 
 _VALID_TAGS = frozenset(int(t) for t in EventType)
+# The same tags as octets: deleting them from a chunk's tag octets
+# (``bytes.translate``) leaves exactly the unregistered ones.
+_VALID_TAG_OCTETS = bytes(sorted(_VALID_TAGS))
 
 
 class TraceEvent(namedtuple("TraceEvent", "event_type data")):
@@ -68,7 +76,8 @@ class TraceEvent(namedtuple("TraceEvent", "event_type data")):
         return EventType(self.event_type).name
 
 
-# Encode without building a TraceEvent; used on the hot recording path.
+# Encode one event without building a TraceEvent or checking its tag. The
+# record buffer packs whole chunks instead (``RecordBuffer.flush``).
 pack_event = _EVENT_STRUCT.pack
 
 

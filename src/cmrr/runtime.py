@@ -286,7 +286,10 @@ class Execution:
 
         try:
             for act in self.activities.values():
-                act.finish_tracing()
+                try:
+                    act.finish_tracing()
+                except TraceFormatError as exc:  # the others still flush
+                    self.abort(exc)
         finally:
             if self.sink is not None:
                 self.sink.close()

@@ -18,11 +18,10 @@ import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import BinaryIO, Iterable
 
 from .errors import TraceFormatError
-from .events import _VALID_TAGS, EVENT_SIZE
+from .events import _VALID_TAGS, EVENT_SIZE, _compiled
 from .tracing import FLUSH_THRESHOLD, ReplayQueue
 
 MAGIC = b"CMRR"
@@ -90,7 +89,6 @@ class TraceFile:
 # Events unpacked per struct call, at most a full record buffer's chunk (456):
 # a damaged trace's huge chunk compiles no huge format to cache.
 DECODE_BLOCK = -(-FLUSH_THRESHOLD // EVENT_SIZE)
-_compiled = lru_cache(maxsize=4)(struct.Struct)
 
 
 def decode_columns(payload: bytes) -> tuple[bytes, list[int]]:

@@ -24,9 +24,11 @@ Call both with the entity's monitor held; neither enters it itself.
 Replay reads a trace head only through ``ReplayQueue.expect``, the gate or
 ``record_interaction``, so every divergence is reported in one format; the
 one other reader, the scan for an actor's receive places, raises nothing.
-Events are columns of machine words, not one tuple each: a replay queue
+Events are machine words, not one tuple or packed string each: a record
+buffer holds its unflushed events as one list, tag and data word in turn,
+and packs and validates each chunk once, as it flushes it; a replay queue
 holds its type tags and data words in two lists (``expect`` returns the
-head's data word), and an entity's log is one flat ``array('Q')``.
+head's data word); and an entity's log is one flat ``array('Q')``.
 
 A blocked activity parks in ``watchdog_wait``, and only a blocked one:
 every caller tests its predicate first and enters only to park. It parks
@@ -42,6 +44,7 @@ and checks only for an abort.
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from _thread import allocate_lock as _allocate_lock
@@ -49,8 +52,9 @@ from array import array
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .errors import ReplayDeadlock, ReplayQueueExhausted, ReplayTypeMismatch
-from .events import EventType, TraceEvent, describe, pack_event
+from .errors import ReplayDeadlock, ReplayQueueExhausted, ReplayTypeMismatch, TraceFormatError
+from .events import (_VALID_TAG_OCTETS, EVENT_SIZE, EventType, TraceEvent, _compiled,
+                     describe, encode_event)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .activities import Activity
@@ -92,34 +96,65 @@ PASSIVE, RECORD, REPLAY = ExecutionMode
 
 
 class RecordBuffer:
-    """Growable octet buffer holding whole 9-octet events.
+    """One activity's unflushed events as a list of words, each event's
+    type tag and then its data word; ``len`` counts octets.
 
-    Written only by its owning activity. When the buffer reaches
-    ``FLUSH_THRESHOLD`` octets (or the activity terminates) the content is
-    handed off to the trace sink as one chunk; chunks never split an event.
+    Written only by its owning activity. It flushes once it holds
+    ceil(``FLUSH_THRESHOLD`` / 9) events, the threshold read when it is
+    made, and when the activity terminates. ``flush`` packs the chunk in
+    one struct call, validates it and hands it to the sink. An unregistered
+    tag or a data word outside u64 raises ``TraceFormatError`` naming the
+    activity, the first bad event's index in its trace and the event; the
+    sink then gets none of the chunk.
     """
 
     def __init__(self, owner_id: int, sink):
         self.owner_id = owner_id
         self._sink = sink
-        self._data = bytearray()
+        self._words: list[int] = []
+        self._limit = 2 * -(-FLUSH_THRESHOLD // EVENT_SIZE)
+        self._flushed = 0  # events handed to the sink
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._words) // 2 * EVENT_SIZE
 
     def put(self, event_type: int, data: int) -> None:
-        self._data += pack_event(event_type, data)
-        if len(self._data) >= FLUSH_THRESHOLD:
+        words = self._words
+        words.append(event_type)
+        words.append(data)
+        if len(words) >= self._limit:
             self.flush()
 
     def flush(self) -> None:
-        if self._data:
-            self._sink.submit(self.owner_id, bytes(self._data))
-            self._data.clear()
+        words = self._words
+        if words:
+            try:
+                chunk = self.snapshot()
+            except TraceFormatError:
+                words.clear()
+                raise
+            self._sink.submit(self.owner_id, chunk)
+            self._flushed += len(words) // 2
+            words.clear()
 
     def snapshot(self) -> bytes:
-        """Unflushed content; test hook."""
-        return bytes(self._data)
+        """Unflushed content, packed and validated as ``flush`` packs it."""
+        words = self._words
+        try:
+            chunk = _compiled("<" + "BQ" * (len(words) // 2)).pack(*words)
+        except struct.error:
+            pass
+        else:
+            if not chunk[::EVENT_SIZE].translate(None, _VALID_TAG_OCTETS):
+                return chunk
+        for index in range(0, len(words), 2):  # the first event that fails alone
+            event_type, data = words[index:index + 2]
+            try:
+                encode_event(TraceEvent(event_type, data))
+            except (TraceFormatError, struct.error) as exc:
+                raise TraceFormatError(
+                    f"activity {self.owner_id}: cannot record event "
+                    f"{self._flushed + index // 2}, ({event_type}, {data!r}): {exc}") from None
 
 
 class ReplayQueue:

@@ -1,8 +1,9 @@
 """Property tests of the trace codec.
 
-The bulk chunk decoder must agree with the single-event reference decoder
-on every input, and no damaged trace may raise anything but a
-TraceFormatError.
+The record buffer's chunk packer must agree with the single-event
+reference encoder, and the bulk chunk decoder with the single-event
+reference decoder, on every input; no damaged trace may raise anything
+but a TraceFormatError.
 """
 
 import functools
@@ -17,6 +18,7 @@ from cmrr import (EVENT_SIZE, EventType, Execution, MemorySink, TraceEvent, benc
 from cmrr.errors import TraceFormatError
 from cmrr.events import decode_event, encode_event, pack_event
 from cmrr.tracefile import decode_columns, parse_trace_bytes
+from cmrr.tracing import RecordBuffer
 
 _REGISTERED = sorted(int(t) for t in EventType)
 _U64 = st.integers(0, 2**64 - 1)
@@ -36,6 +38,35 @@ def _file(chunks):
 def _reference_decode(payload):
     return [decode_event(payload[i:i + EVENT_SIZE])
             for i in range(0, len(payload), EVENT_SIZE)]
+
+
+@pytest.mark.parametrize("threshold", [9, 27, 45, 4096])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_record_buffer_chunks_match_reference_encoder(threshold, data):
+    per_chunk = -(-threshold // EVENT_SIZE)
+    count = data.draw(st.integers(0, 3 * per_chunk + 2), label="events")
+    # tags as plain ints and as EventType members, which callers pass too;
+    # a long run repeats a drawn cycle, so that a failure shrinks quickly
+    tags = st.sampled_from(_REGISTERED + list(EventType))
+    cycle = data.draw(st.lists(st.tuples(tags, _U64), min_size=1, max_size=60))
+    pairs = [cycle[i % len(cycle)] for i in range(count)]
+    sink = MemorySink()
+    with mock.patch.object(tracing, "FLUSH_THRESHOLD", threshold):
+        buffer = RecordBuffer(2, sink)
+    for event_type, word in pairs:
+        buffer.put(event_type, word)
+
+    reference = [encode_event(TraceEvent(event_type, word)) for event_type, word in pairs]
+    flushed = count // per_chunk * per_chunk
+    assert sink.chunks == [(2, b"".join(reference[first:first + per_chunk]))
+                           for first in range(0, flushed, per_chunk)]
+    rest = b"".join(reference[flushed:])
+    assert buffer.snapshot() == rest
+    assert len(buffer) == len(rest)
+    buffer.flush()
+    assert sink.chunks[flushed // per_chunk:] == ([(2, rest)] if rest else [])
+    assert len(buffer) == 0
 
 
 @settings(max_examples=150, deadline=None)

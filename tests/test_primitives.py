@@ -19,7 +19,10 @@ from cmrr import (
     delay_interaction,
     encode_event,
     increment_version,
+    parse_trace,
     record_interaction,
+    send,
+    spawn_actor,
     spawn_process,
     tracing,
 )
@@ -28,6 +31,7 @@ from cmrr.errors import (
     ReplayDeadlock,
     ReplayQueueExhausted,
     ReplayTypeMismatch,
+    TraceFormatError,
 )
 from cmrr.tracefile import write_trace
 from cmrr.tracing import RecordBuffer, ReplayQueue
@@ -301,6 +305,67 @@ def test_record_buffer_flush_threshold(monkeypatch):
     assert len(buffer) == 9
     buffer.flush()
     assert len(chunks) == 2
+
+
+@pytest.mark.parametrize("event_type, data, problem", [
+    (EventType.LOCK, 2**64, "event data 18446744073709551616 outside u64 range"),
+    (EventType.LOCK, -1, "event data -1 outside u64 range"),
+    (13, 7, "unregistered event tag 13"),
+], ids=["data-2**64", "data-minus-1", "tag-13"])
+def test_bad_event_fails_its_flush_and_no_part_of_its_chunk_is_written(
+        trace_path, monkeypatch, event_type, data, problem):
+    # chunks of five events: 0-4 flush whole, 5-9 hold the bad event 7
+    monkeypatch.setattr(tracing, "FLUSH_THRESHOLD", 45)
+
+    def program():
+        act = current_activity()
+        for i in range(7):
+            record_interaction(act, EventType.LOCK, i)
+        record_interaction(act, event_type, data)
+        for i in range(8, 10):
+            record_interaction(act, EventType.LOCK, i)
+        raise AssertionError("the flush at event 9 did not raise")
+
+    ex = Execution(ExecutionMode.RECORD, trace_path=trace_path)
+    with pytest.raises(TraceFormatError) as info:
+        ex.run(program)
+    assert str(info.value) == f"activity 0: cannot record event 7, ({event_type}, {data}): {problem}"
+    trace = parse_trace(trace_path)
+    assert list(trace.queues[0].events) == [TraceEvent(EventType.LOCK, i) for i in range(5)]
+
+
+def test_bad_event_in_actor_handler_fails_the_run(trace_path, monkeypatch):
+    # every put flushes, so the bad event raises inside the handler, which
+    # must not keep it as a handler error
+    monkeypatch.setattr(tracing, "FLUSH_THRESHOLD", 9)
+
+    def program():
+        actor = spawn_actor(lambda msg: record_interaction(current_activity(), 0, msg))
+        send(actor, 5)
+
+    ex = Execution(ExecutionMode.RECORD, trace_path=trace_path)
+    with pytest.raises(TraceFormatError, match=r"^activity \d+: cannot record event 0, "
+                                               r"\(0, 5\): unregistered event tag 0$"):
+        ex.run(program)
+    actor_id, = (aid for aid in ex.activities if aid)
+    assert actor_id not in parse_trace(trace_path).queues
+
+
+def test_bad_event_flushed_at_run_end_leaves_other_activities_flushed(trace_path):
+    def program():
+        actor = spawn_actor(lambda msg: record_interaction(current_activity(),
+                                                           EventType.LOCK, msg))
+        send(actor, 3)
+        record_interaction(current_activity(), EventType.LOCK, 1.5)
+
+    ex = Execution(ExecutionMode.RECORD, trace_path=trace_path)
+    with pytest.raises(TraceFormatError, match=r"^activity 0: cannot record event 2, "
+                                               r"\(1, 1\.5\): "):
+        ex.run(program)
+    trace = parse_trace(trace_path)
+    assert 0 not in trace.queues
+    actor_id, = trace.queues
+    assert list(trace.queues[actor_id].events) == [TraceEvent(EventType.LOCK, 3)]
 
 
 def _queue(owner_id, events):
