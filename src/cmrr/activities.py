@@ -14,7 +14,7 @@ from itertools import count
 from typing import TYPE_CHECKING, Optional
 
 from .errors import NotAnActivity, UsageError
-from .tracing import RecordBuffer, ReplayQueue, watchdog_wait
+from .tracing import RecordBuffer, ReplayQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Execution
@@ -130,21 +130,15 @@ class ThreadActivity(Activity):
                 ex.abort(exc)
             set_current_activity(None)
             ex.progress += 1
+            self.done = True
             # Last act: once the count is down, the run may end.
-            with ex.live_lock:
-                self.done = True
-                ex.live -= 1
-                if ex.live_monitor.parked:
-                    ex.live_monitor.notify_all()
+            ex.count_live(-1)
 
     def join(self) -> None:
         """Wait for the activity to finish; abort- and watchdog-aware."""
         if getattr(_tls, "current", None) is self:
             raise UsageError("activity cannot join itself")
-        ex = self.execution
-        with ex.live_lock:
-            if not self.done:
-                watchdog_wait(ex.live_monitor, lambda: self.done, ex)
+        self.execution.wait_live(lambda: self.done)
 
 
 _tls = threading.local()

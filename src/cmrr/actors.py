@@ -179,8 +179,7 @@ class ActorActivity(Activity):
             if not (self._queued or self._mail):
                 # The actor goes live: it counts once while it has mail or
                 # a queued or running slice, not once per message.
-                with ex.live_lock:
-                    ex.live += 1
+                ex.count_live(1)
             self._mail[key] = msg
             self._schedule_if_needed()
 
@@ -217,10 +216,7 @@ class ActorActivity(Activity):
                     # Idle with no mail: the actor leaves the live count.
                     # Mail that cannot run yet keeps it there, so a replay
                     # awaiting a key that never comes ends in the watchdog.
-                    with ex.live_lock:
-                        ex.live -= 1
-                        if not ex.live and ex.live_monitor.parked:
-                            ex.live_monitor.notify_all()
+                    ex.count_live(-1)
 
     # -- event loop ----------------------------------------------------------
 

@@ -88,7 +88,7 @@ class Channel(VersionedEntity):
         self._claims = Monitor(self._lock)
         self._taken = Monitor(self._lock)
 
-    def digest_lines(self):
+    def digest_words(self):
         # Each rendezvous logs its write, at the claim, before its read.
         # Digests have always hashed the entries in (version, type,
         # activity) order. Three stable sorts on one int each give that
@@ -97,10 +97,7 @@ class Channel(VersionedEntity):
         lines = sorted(self.log_entries(), key=itemgetter(0))
         lines.sort(key=itemgetter(1))
         lines.sort(key=itemgetter(2))
-        return lines
-
-    def digest_words(self):
-        return list(chain.from_iterable(self.digest_lines()))
+        return list(chain.from_iterable(lines))
 
     def check_version_completeness(self):
         # One read and one write event per rendezvous, both carrying the

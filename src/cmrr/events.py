@@ -20,9 +20,11 @@ EVENT_SIZE = 9
 
 _EVENT_STRUCT = struct.Struct("<BQ")
 
-# Compiled whole-chunk formats, shared by the record buffer's packer and the
-# chunk decoder; bounded, so no run caches a format per chunk length.
-_compiled = lru_cache(maxsize=4)(struct.Struct)
+# Compiled whole-chunk formats by event count: the record buffer's packer and
+# the chunk decoder's word unpacker. Each direction has its own bounded cache,
+# so one direction's short last chunks never push out the other's formats.
+_packer = lru_cache(maxsize=4)(lambda events: struct.Struct("<" + "BQ" * events))
+_word_unpacker = lru_cache(maxsize=4)(lambda events: struct.Struct("<" + "xQ" * events))
 
 
 class EventType(IntEnum):

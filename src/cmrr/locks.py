@@ -161,7 +161,8 @@ class RRLock(VersionedEntity):
 
 
 class RRCondition:
-    """Condition variable bound to an RRLock; FIFO wake order."""
+    """Condition variable bound to an RRLock; FIFO wake order. Both waits
+    run one body, ``_wait``; only a timed wait records its outcome."""
 
     def __init__(self, lock: RRLock):
         self._lock = lock
@@ -174,16 +175,7 @@ class RRCondition:
         is what pins its place in the replayed order. Callers must re-check
         their predicate in a loop, as with any condition variable.
         """
-        lock = self._lock
-        act = current_activity()
-        with lock._lock:
-            depth = lock._release_fully(act)
-            waiter = _CondWaiter()
-            self._wait_queue.append(waiter)
-            lock._reacquire_implicit(act, waiter, depth)
-            if lock.execution.mode is not PASSIVE:
-                lock.untimed_reacquisitions += 1
-            increment_version(lock)
+        self._wait(None)
 
     def wait_timeout(self, timeout: float) -> bool:
         """Timed wait; returns True if signaled, False on timeout.
@@ -192,20 +184,26 @@ class RRCondition:
         timeout returns False without waiting out the clock, a recorded
         signal waits for the actual (replayed) signal.
         """
+        return self._wait(timeout)
+
+    def _wait(self, timeout: Optional[float]) -> bool:
+        """Release the lock, wait in FIFO order and reacquire it, bumping
+        its version; untimed (``timeout`` None), count an untimed
+        reacquisition, else record the outcome. True if signaled."""
         lock = self._lock
         act = current_activity()
         ex = lock.execution
-        replaying = ex.mode is REPLAY
+        replayed = timeout is not None and ex.mode is REPLAY
         with lock._lock:
-            if replaying:
+            if replayed:
                 act.replay_queue.expect(AWAIT_SIGNALED, AWAIT_TIMEOUT)
             depth = lock._release_fully(act)
-            if replaying and act.replay_queue.peek()[0] == AWAIT_TIMEOUT:
+            if replayed and act.replay_queue.peek()[0] == AWAIT_TIMEOUT:
                 lock._acquire_gated(act, AWAIT_TIMEOUT, depth)
                 return False
             waiter = _CondWaiter()
             self._wait_queue.append(waiter)
-            if not replaying:
+            if timeout is not None and not replayed:
                 # The only wait bounded by wall time. A waiter still
                 # unsignaled at the deadline withdraws and rejoins as a
                 # timed-out reacquirer, atomically because signals move
@@ -220,15 +218,13 @@ class RRCondition:
                     ex.check_abort()
                     lock._monitor.wait(min(WAIT_TICK, remaining))
             lock._reacquire_implicit(act, waiter, depth)
-            signaled = waiter.signaled
-            record_interaction(
-                act,
-                AWAIT_SIGNALED if signaled else AWAIT_TIMEOUT,
-                lock.version,
-                entity=lock,
-            )
+            if timeout is not None:
+                record_interaction(act, AWAIT_SIGNALED if waiter.signaled else AWAIT_TIMEOUT,
+                                   lock.version, entity=lock)
+            elif ex.mode is not PASSIVE:
+                lock.untimed_reacquisitions += 1
             increment_version(lock)
-            return signaled
+            return waiter.signaled
 
     def signal(self) -> None:
         """Wake the longest-waiting waiter; no event is recorded."""

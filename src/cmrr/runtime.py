@@ -240,18 +240,28 @@ class Execution:
             self.actor_pool.start()
         else:
             child = ThreadActivity(self, child_id, kind, entry, args, name)
-            with self.live_lock:
-                self.live += 1
+            self.count_live(1)
             try:
                 child.start()
             except BaseException:
-                # The child never runs, so it never counts itself down.
-                with self.live_lock:
-                    self.live -= 1
-                    if not self.live and self.live_monitor.parked:
-                        self.live_monitor.notify_all()
+                self.count_live(-1)  # the child never runs to count itself down
                 raise
         return child
+
+    def count_live(self, delta: int) -> None:
+        """Move the live count by ``delta``. A count down wakes the threads
+        parked in ``wait_live``; a count up wakes nobody."""
+        with self.live_lock:
+            self.live += delta
+            if delta < 0 and self.live_monitor.parked:
+                self.live_monitor.notify_all()
+
+    def wait_live(self, predicate: Callable[[], bool]) -> None:
+        """Wait until ``predicate()``, tested under the live lock, holds:
+        parks in ``watchdog_wait`` and tests again at each count down."""
+        with self.live_lock:
+            if not predicate():
+                watchdog_wait(self.live_monitor, predicate, self)
 
     # -- running ------------------------------------------------------------------
 
@@ -277,9 +287,7 @@ class Execution:
             set_current_activity(None)
 
         try:
-            with self.live_lock:
-                if self.live:
-                    watchdog_wait(self.live_monitor, lambda: not self.live, self)
+            self.wait_live(lambda: not self.live)
         except BaseException as exc:  # noqa: BLE001
             self.abort(exc)
         self.actor_pool.shutdown()

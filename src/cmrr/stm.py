@@ -64,26 +64,26 @@ class TxRef:
 
 
 class TxContext:
-    """Per-attempt working copies: observed stamps plus written values."""
+    """Per-attempt working copies: (value, stamp) of each first read, plus
+    written values."""
 
-    __slots__ = ("reads", "values", "writes", "commit_point")
+    __slots__ = ("reads", "writes", "commit_point")
 
     def __init__(self, commit_point: CommitPoint):
         self.commit_point = commit_point
-        self.reads: dict[TxRef, int] = {}
-        self.values: dict[TxRef, Any] = {}
+        self.reads: dict[TxRef, tuple[Any, int]] = {}
         self.writes: dict[TxRef, Any] = {}
 
     def read(self, ref: TxRef) -> Any:
         if ref in self.writes:
             return self.writes[ref]
-        if ref not in self.values:
+        seen = self.reads.get(ref)
+        if seen is None:
             # First touch: copy value and stamp under the commit lock so
             # they are mutually consistent.
             with self.commit_point._lock:
-                self.values[ref] = ref._value
-                self.reads[ref] = ref._stamp
-        return self.values[ref]
+                seen = self.reads[ref] = (ref._value, ref._stamp)
+        return seen[0]
 
     def write(self, ref: TxRef, value: Any) -> None:
         self.writes[ref] = value
@@ -129,7 +129,7 @@ def _try_commit(ctx: TxContext, act) -> bool:
             if commit_point.version != version:
                 watchdog_wait(commit_point._monitor,
                               lambda: commit_point.version == version, ex)
-        for ref, stamp in ctx.reads.items():
+        for ref, (_, stamp) in ctx.reads.items():
             if ref._stamp != stamp:
                 return False
         record_interaction(act, TX_COMMIT, commit_point.version,

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import BinaryIO, Iterable
 
 from .errors import TraceFormatError
-from .events import _VALID_TAGS, EVENT_SIZE, _compiled
+from .events import _VALID_TAG_OCTETS, EVENT_SIZE, _word_unpacker
 from .tracing import FLUSH_THRESHOLD, ReplayQueue
 
 MAGIC = b"CMRR"
@@ -96,13 +96,13 @@ def decode_columns(payload: bytes) -> tuple[bytes, list[int]]:
     type tags (one octet per event) and its data words. An unregistered
     tag raises an error naming the first bad event's index."""
     tags = payload[::EVENT_SIZE]
-    if not _VALID_TAGS.issuperset(tags):
-        index = next(i for i, tag in enumerate(tags) if tag not in _VALID_TAGS)
-        raise TraceFormatError(f"unregistered event tag {tags[index]} at event {index}")
+    bad = tags.translate(None, _VALID_TAG_OCTETS)  # the record buffer's check
+    if bad:  # the first bad tag is where its value first occurs
+        raise TraceFormatError(f"unregistered event tag {bad[0]} at event {tags.index(bad[0])}")
     words: list[int] = []
     for first in range(0, len(tags), DECODE_BLOCK):
-        block = "<" + "xQ" * min(DECODE_BLOCK, len(tags) - first)
-        words += _compiled(block).unpack_from(payload, first * EVENT_SIZE)
+        block = _word_unpacker(min(DECODE_BLOCK, len(tags) - first))
+        words += block.unpack_from(payload, first * EVENT_SIZE)
     return tags, words
 
 

@@ -53,7 +53,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .errors import ReplayDeadlock, ReplayQueueExhausted, ReplayTypeMismatch, TraceFormatError
-from .events import (_VALID_TAG_OCTETS, EVENT_SIZE, EventType, TraceEvent, _compiled,
+from .events import (_VALID_TAG_OCTETS, EVENT_SIZE, EventType, TraceEvent, _packer,
                      describe, encode_event)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,7 +141,7 @@ class RecordBuffer:
         """Unflushed content, packed and validated as ``flush`` packs it."""
         words = self._words
         try:
-            chunk = _compiled("<" + "BQ" * (len(words) // 2)).pack(*words)
+            chunk = _packer(len(words) // 2).pack(*words)
         except struct.error:
             pass
         else:
@@ -312,12 +312,13 @@ class VersionedEntity:
         return list(zip(*[iter(self._log)] * 3))
 
     def digest_words(self) -> Sequence[int]:
-        """The words of ``digest_lines``, three per entry, end to end."""
+        """The log in the run digest's order, three words per entry, end to
+        end; the one definition of that order, which a kind may override."""
         return self._log
 
     def digest_lines(self) -> list[tuple[int, int, int]]:
-        """Canonical interaction order fed into the run digest."""
-        return self.log_entries()
+        """``digest_words`` as one tuple per entry."""
+        return list(zip(*[iter(self.digest_words())] * 3))
 
     def recorded_versions(self) -> list[int]:
         """Sorted data words of the version-carrying events this entity saw."""

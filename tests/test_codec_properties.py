@@ -112,17 +112,34 @@ def test_huge_chunk_parses_in_bounded_blocks():
     compiled, and the cache of compiled formats stays small."""
     count = 200_000
     payload = b"".join(pack_event(EventType.LOCK, i) for i in range(count))
-    tracefile._compiled.cache_clear()
-    with mock.patch.object(tracefile, "_compiled", wraps=tracefile._compiled) as compiled:
+    tracefile._word_unpacker.cache_clear()
+    with mock.patch.object(tracefile, "_word_unpacker",
+                           wraps=tracefile._word_unpacker) as compiled:
         trace = parse_trace_bytes(_file([(3, payload)]))
     queue = trace.queues[3]
     assert len(queue) == count
     assert queue.expect(EventType.LOCK) == 0
     assert list(queue)[-1] == (EventType.LOCK, count - 1)
-    assert max(len(call.args[0]) for call in compiled.call_args_list) \
-        == 1 + 2 * tracefile.DECODE_BLOCK
-    cache = tracefile._compiled.cache_info()
+    assert max(call.args[0] for call in compiled.call_args_list) == tracefile.DECODE_BLOCK
+    cache = tracefile._word_unpacker.cache_info()
     assert cache.currsize <= cache.maxsize <= 8
+
+
+def test_a_repeated_run_compiles_no_format_again(tmp_path):
+    """Recording and replaying philosophers-locks packs and decodes full
+    chunks, the philosophers' shorter last chunks and the main activity's
+    spawns: three formats each way. Each direction keeps its own formats,
+    so once one run has compiled them the next compiles none."""
+    path = str(tmp_path / "phil.trc")
+    caches = (tracing._packer, tracefile._word_unpacker)
+
+    def record_and_replay():
+        for mode in ("record", "replay"):
+            bench.run_benchmark("philosophers-locks", mode, trace_path=path,
+                                params={"rounds": 250})
+        return [cache.cache_info().misses for cache in caches]
+
+    assert record_and_replay() == record_and_replay()
 
 
 @functools.cache

@@ -100,6 +100,41 @@ def test_conflicting_attempt_retries_and_leaves_no_trace():
     assert result.outputs["attempts"] == 2
 
 
+def test_second_read_in_an_attempt_returns_the_first_read():
+    """Inside one attempt, reading a cell again returns the value of the
+    first read even after another activity has committed to the cell;
+    the attempt then fails to commit and runs again."""
+
+    def program():
+        cell = TxRef(10, "contended")
+        reads = []
+        first_read = threading.Event()
+        other_committed = threading.Event()
+
+        def slow_tx():
+            def body():
+                first = cell.get()
+                first_read.set()
+                other_committed.wait(5.0)
+                reads.append((first, cell.get()))
+
+            atomic(body)
+
+        def fast_tx():
+            first_read.wait(5.0)
+            atomic(lambda: cell.set(cell.get() + 100))
+            other_committed.set()
+
+        t1 = spawn_thread(slow_tx)
+        t2 = spawn_thread(fast_tx)
+        t1.join()
+        t2.join()
+        return reads
+
+    ex, result = passive_run(program)
+    assert result.outputs == [(10, 10), (110, 110)]
+
+
 def test_failed_attempts_record_nothing(trace_path):
     # recorded variant of the forced-conflict scenario: event count equals
     # successful commits, not attempts
