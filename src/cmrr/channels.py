@@ -20,16 +20,19 @@ and only the side that arrived first parks:
 * a reader that arrives first files a ``_ParkedRead`` in ``_readers`` and
   parks on ``_monitor``, the entity monitor. The writer that claims the
   channel next hands its value straight to it: it stores the value and the
-  rendezvous version in the record, bumps the version, wakes the reader
-  and returns at once, as Go's unbuffered send to a waiting receiver does.
-  The writer may return before the reader runs: the pairing and its
-  version were fixed under the lock, and the reader records its event at
-  the handed version whenever it gets the lock back;
+  rendezvous version in the record, logs the reader's read, bumps the
+  version, wakes the reader and returns at once, as Go's unbuffered send
+  to a waiting receiver does. The writer may return before the reader
+  runs: the pairing and its version were fixed under the lock, and the
+  reader records its event at the handed version whenever it gets the
+  lock back;
 * a writer that finds no eligible parked reader fills the slot and parks
-  on ``_taken``. The reader that arrives takes the value, bumps the
-  version and wakes the writer, which frees the claim.
+  on ``_taken``. The reader that arrives takes the value, records and logs
+  its read, bumps the version and wakes the writer, which frees the claim.
 
-So the side that arrives second bumps the version, once per rendezvous.
+So the side that arrives second bumps the version, once per rendezvous,
+and logs the read just before the write that the claim logged: the log
+holds a read and then a write at each version in turn, the digest order.
 
 The end of either kind of rendezvous wakes the parked claims. In replay
 each claim waits for its own recorded version, which the gate files in
@@ -46,8 +49,6 @@ the version does not move while it is full.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
-from operator import itemgetter
 from typing import Any, Optional
 
 from .activities import current_activity
@@ -57,13 +58,15 @@ from .tracing import (PASSIVE, REPLAY, Monitor, VersionedEntity, delay_interacti
 
 
 class _ParkedRead:
-    """A reader parked for a hand-off. ``due`` is the version it awaits,
-    its recorded one in replay and None otherwise; the writer that pairs
-    with it sets ``value`` and ``version``, the rendezvous version."""
+    """A reader parked for a hand-off, of activity ``activity_id``. ``due``
+    is the version it awaits, its recorded one in replay and None
+    otherwise; the writer that pairs with it sets ``value`` and ``version``,
+    the rendezvous version, and logs the read in the channel's log."""
 
-    __slots__ = ("due", "value", "version")
+    __slots__ = ("activity_id", "due", "value", "version")
 
-    def __init__(self, due: Optional[int]):
+    def __init__(self, activity_id: int, due: Optional[int]):
+        self.activity_id = activity_id
         self.due = due
         self.version: Optional[int] = None
 
@@ -88,27 +91,20 @@ class Channel(VersionedEntity):
         self._claims = Monitor(self._lock)
         self._taken = Monitor(self._lock)
 
-    def digest_words(self):
-        # Each rendezvous logs its write, at the claim, before its read.
-        # Digests have always hashed the entries in (version, type,
-        # activity) order. Three stable sorts on one int each give that
-        # order, ties included, in a third of the time of one sort on the
-        # tuple.
-        lines = sorted(self.log_entries(), key=itemgetter(0))
-        lines.sort(key=itemgetter(1))
-        lines.sort(key=itemgetter(2))
-        return list(chain.from_iterable(lines))
-
     def check_version_completeness(self):
-        # One read and one write event per rendezvous, both carrying the
-        # rendezvous version.
-        reads = sorted(d for (_, t, d) in self.log_entries() if t == CHANNEL_READ)
-        writes = sorted(d for (_, t, d) in self.log_entries() if t == CHANNEL_WRITE)
-        expected = list(range(self.version))
-        if reads != expected or writes != expected:
-            return (f"channel {self.entity_id}: reads {reads[:10]} / writes "
-                    f"{writes[:10]} do not pair over 0..{self.version - 1}")
+        # A read and then a write at each version 0..V-1 in turn.
+        logged = list(zip(self._log[1::3], self._log[2::3]))
+        expected = [(t, v) for v in range(self.version) for t in (CHANNEL_READ, CHANNEL_WRITE)]
+        if logged != expected:
+            return (f"channel {self.entity_id}: log {logged[:10]} is not a read and a "
+                    f"write at each version 0..{self.version - 1} in turn")
         return None
+
+    def _log_read(self, activity_id: int) -> None:
+        """Log a read at the current version just before the write that the
+        rendezvous's claim logged last; monitor held, outside passive mode."""
+        for word in (activity_id, CHANNEL_READ, self.version):
+            self._log.insert(-3, word)
 
     def write(self, value: Any) -> None:
         """Block until ``value`` is paired with a read.
@@ -129,8 +125,10 @@ class Channel(VersionedEntity):
             if reader is not None:
                 reader.value = value
                 reader.version = self.version
-                increment_version(self)
-                if self.execution.mode is PASSIVE and self._monitor.parked:
+                if self.execution.mode is not PASSIVE:
+                    self._log_read(reader.activity_id)
+                    increment_version(self)
+                elif self._monitor.parked:
                     self._monitor.notify_all()
             else:
                 self._writer_active = True
@@ -167,15 +165,17 @@ class Channel(VersionedEntity):
             due = (activity.replay_queue.expect(CHANNEL_READ)
                    if self.execution.mode is REPLAY else None)
             if self._slot_full and (due is None or due == self.version):
-                record_interaction(activity, CHANNEL_READ, self.version, entity=self)
+                record_interaction(activity, CHANNEL_READ, self.version)
                 value = self._slot
                 self._slot = None
                 self._slot_full = False
-                increment_version(self)
+                if self.execution.mode is not PASSIVE:
+                    self._log_read(activity.id)
+                    increment_version(self)
                 if self._taken.parked:
                     self._taken.notify()
                 return value
-            reader = _ParkedRead(due)
+            reader = _ParkedRead(activity.id, due)
             self._readers.append(reader)
             try:
                 watchdog_wait(self._monitor, reader.handed, self.execution)
@@ -183,5 +183,5 @@ class Channel(VersionedEntity):
                 # A read that failed while parked must never be handed a value.
                 if reader.version is None:
                     self._readers.remove(reader)
-            record_interaction(activity, CHANNEL_READ, reader.version, entity=self)
+            record_interaction(activity, CHANNEL_READ, reader.version)
             return reader.value

@@ -69,6 +69,11 @@ class PerturbationPlan:
     prob: float = 0.02
     max_delay: float = 0.0005
 
+    def __post_init__(self):
+        if not (0 <= self.prob <= 1 and 0 <= self.max_delay < float("inf")):  # also nan
+            raise UsageError(f"perturbation needs prob in [0, 1] and a finite max_delay of "
+                             f"at least 0 s, got prob={self.prob}, max_delay={self.max_delay}")
+
     def point_for(self, activity_id: int) -> Callable[[], None]:
         """The perturbation point of one activity: with probability
         ``prob``, sleep a uniform share of ``max_delay`` seconds. The id is
@@ -346,7 +351,7 @@ class Execution:
             entities = sorted(self.entities, key=lambda e: e.entity_id)
         for entity in entities:
             h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
-            words = entity.digest_words()
+            words = entity._log
             # Bounded slices: no bytes object as large as the whole log.
             for start in range(0, len(words), 3 * DIGEST_SLICE):
                 part = tuple(words[start:start + 3 * DIGEST_SLICE])

@@ -281,7 +281,9 @@ class VersionedEntity:
     apart from its readers. The entity also keeps an in-memory log of the
     interactions it saw (recorded in recording mode, consumed in replay
     mode), which feeds run digests and version-completeness checks: ``_log``
-    holds three words per interaction, its activity's id, type and data.
+    holds three words per interaction, its activity's id, type and data, in
+    the order a digest hashes: as they happen, except that a channel logs
+    a rendezvous's read when it completes, before the write of its claim.
     """
 
     kind = "entity"
@@ -310,15 +312,6 @@ class VersionedEntity:
 
     def log_entries(self) -> list[tuple[int, int, int]]:
         return list(zip(*[iter(self._log)] * 3))
-
-    def digest_words(self) -> Sequence[int]:
-        """The log in the run digest's order, three words per entry, end to
-        end; the one definition of that order, which a kind may override."""
-        return self._log
-
-    def digest_lines(self) -> list[tuple[int, int, int]]:
-        """``digest_words`` as one tuple per entry."""
-        return list(zip(*[iter(self.digest_words())] * 3))
 
     def recorded_versions(self) -> list[int]:
         """Sorted data words of the version-carrying events this entity saw."""

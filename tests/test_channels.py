@@ -136,6 +136,28 @@ def test_read_write_event_counts_match_final_version(trace_path):
     assert channel.check_version_completeness() is None
 
 
+@pytest.mark.parametrize("log, complete", [
+    ([(1, EventType.CHANNEL_READ, 0), (2, EventType.CHANNEL_WRITE, 0),
+      (3, EventType.CHANNEL_READ, 1), (2, EventType.CHANNEL_WRITE, 1)], True),
+    # The same pairs, each write logged before its read.
+    ([(2, EventType.CHANNEL_WRITE, 0), (1, EventType.CHANNEL_READ, 0),
+      (2, EventType.CHANNEL_WRITE, 1), (3, EventType.CHANNEL_READ, 1)], False),
+    # A read and a write per version, the rendezvous out of turn.
+    ([(3, EventType.CHANNEL_READ, 1), (2, EventType.CHANNEL_WRITE, 1),
+      (1, EventType.CHANNEL_READ, 0), (2, EventType.CHANNEL_WRITE, 0)], False),
+])
+def test_version_completeness_reads_each_read_before_its_write(log, complete):
+    def program():
+        channel = Channel()
+        for entry in log:
+            channel.note(*entry)
+        channel.version = 2
+        return channel.check_version_completeness()
+
+    problem = Execution(ExecutionMode.PASSIVE).run(program).outputs
+    assert (problem is None) == complete
+
+
 def test_replay_tolerates_either_arrival_order_per_rendezvous(trace_path):
     def program(reader_delay):
         ch = Channel()

@@ -1,9 +1,11 @@
-"""Property test of the run digest's bytes.
+"""Property tests of the run digest's bytes and order.
 
 ``Execution.compute_digest`` formats each entity's log as bytes, in
 slices of ``DIGEST_SLICE`` entries. It must hash exactly the bytes of the
-reference below, one f-string per log entry, so that every digest stays
-comparable across versions.
+reference below, one f-string per log entry in log order, so that every
+digest stays comparable across versions. A channel's digest has always
+hashed its entries in (version, type, activity) order; a run writes its
+log in that order.
 """
 
 import hashlib
@@ -13,8 +15,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmrr import Channel, EventType, Execution, ExecutionMode, VersionedEntity
+from cmrr import Channel, EventType, Execution, ExecutionMode, PerturbationPlan, VersionedEntity
+from cmrr import bench
 from cmrr.runtime import DIGEST_SLICE
+from test_channels import _many_to_many_program
+from test_primitives import SMALL_PARAMS
 
 _U64 = st.integers(0, 2**64 - 1)
 # The runtime logs plain int tags; a caller of ``note`` may pass EventType
@@ -31,7 +36,7 @@ def _reference_digest(ex, outputs):
     h.update(json.dumps(outputs, sort_keys=True, default=repr).encode())
     for entity in sorted(ex.entities, key=lambda e: e.entity_id):
         h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
-        for activity_id, event_type, data in entity.digest_lines():
+        for activity_id, event_type, data in entity.log_entries():
             h.update(f"|{activity_id},{int(event_type)},{data}".encode())
     return h.hexdigest()
 
@@ -68,41 +73,42 @@ def test_digest_of_logs_longer_than_a_slice_matches_the_reference():
     assert result.digest == _reference_digest(ex, "done")
 
 
-@st.composite
-def _run_shaped_logs(draw):
-    """A channel log as a run leaves it: one read and one write per
-    version, each kind in version order, the two kinds merged at random.
-    Sometimes both kinds take the versions in another order, as no run
-    logs them."""
-    versions = draw(st.integers(0, 8))
-    order = list(range(versions))
-    if draw(st.booleans()):
-        order = draw(st.permutations(order))
-    kinds = draw(st.permutations([EventType.CHANNEL_READ] * versions
-                                 + [EventType.CHANNEL_WRITE] * versions))
-    seen = {EventType.CHANNEL_READ: 0, EventType.CHANNEL_WRITE: 0}
-    log = []
-    for kind in kinds:
-        log.append((draw(st.integers(0, 3)), int(kind), order[seen[kind]]))
-        seen[kind] += 1
-    return log
+def _assert_channel_logs_in_digest_order(ex):
+    channels = [e for e in ex.entities if e.kind == "channel"]
+    for channel in channels:
+        entries = channel.log_entries()
+        assert entries == sorted(entries, key=lambda entry: (entry[2], entry[1], entry[0]))
+    return len(channels)
 
 
-_small_entries = st.tuples(st.integers(0, 3), st.sampled_from(_TYPES), st.integers(0, 3))
+def test_channel_logs_are_written_in_version_type_activity_order(tmp_path):
+    """Every channel log a run leaves is already in (version, type,
+    activity) order, so the digest hashes it as it stands: each benchmark
+    recorded and replayed under both strategies, and competing channel
+    readers and writers under three perturbation seeds."""
+    channels = 0
+    for name, params in SMALL_PARAMS.items():
+        spec = bench.REGISTRY[name]
+        params = {**spec.defaults, **params}
+        for strategy in ("sender", "receiver"):
+            path = str(tmp_path / f"{name}-{strategy}.trc")
+            digests = []
+            for mode, plan in ((ExecutionMode.RECORD, PerturbationPlan(1)),
+                               (ExecutionMode.REPLAY, None)):
+                ex = Execution(mode, strategy=strategy, trace_path=path,
+                               watchdog_seconds=10.0, perturb=plan)
+                result = ex.run(spec.func, params)
+                channels += _assert_channel_logs_in_digest_order(ex)
+                assert result.digest == _reference_digest(ex, result.outputs)
+                digests.append(result.digest)
+            assert digests[0] == digests[1], (name, strategy)
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_run_shaped_logs(), st.lists(_small_entries, max_size=12)))
-def test_channel_digest_order_is_version_type_activity(log):
-    """A channel's digest lines are its entries in (version, type,
-    activity) order, and the digest hashes them in that order."""
-    def program():
-        channel = Channel()
-        for activity_id, event_type, data in log:
-            channel.note(activity_id, event_type, data)
-        return channel.digest_lines()
-
-    ex = Execution(ExecutionMode.PASSIVE)
-    result = ex.run(program)
-    assert result.outputs == sorted(log, key=lambda entry: (entry[2], entry[1], entry[0]))
-    assert result.digest == _reference_digest(ex, result.outputs)
+    for seed in (21, 22, 23):
+        path = str(tmp_path / f"many-{seed}.trc")
+        for mode in (ExecutionMode.RECORD, ExecutionMode.REPLAY):
+            ex = Execution(mode, trace_path=path, watchdog_seconds=10.0,
+                           perturb=PerturbationPlan(seed, prob=0.3))
+            result = ex.run(_many_to_many_program, 3, 4, 8)
+            channels += _assert_channel_logs_in_digest_order(ex)
+            assert result.digest == _reference_digest(ex, result.outputs)
+    assert channels > 12

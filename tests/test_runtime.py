@@ -147,6 +147,15 @@ def test_pool_size_below_one_rejected(pool_size):
         Execution(ExecutionMode.PASSIVE, pool_size=pool_size)
 
 
+@pytest.mark.parametrize("prob, max_delay", [
+    (-3, 0.001), (1.5, 0.001), (float("nan"), 0.001),
+    (0.5, -1.0), (0.5, float("nan")), (0.5, float("inf")),
+])
+def test_perturbation_out_of_range_rejected(prob, max_delay):
+    with pytest.raises(UsageError, match="perturbation needs prob in"):
+        PerturbationPlan(1, prob=prob, max_delay=max_delay)
+
+
 def test_perturbation_sequence_is_seed_deterministic(monkeypatch):
     slept = []
     monkeypatch.setattr(time, "sleep", slept.append)
