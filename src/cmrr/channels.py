@@ -10,33 +10,27 @@ the pairing, and replay delays each operation until the channel reaches
 its recorded rendezvous.
 
 A writer first claims the channel at the interaction gate, parked on
-``_claims`` while another writer's value waits in the slot. In replay the
+``_claims`` while another writer waits in the slot. In replay the
 recorded-version check joins that predicate in one wait;
 ``Condition.wait`` releases the channel lock while waiting, so a
-not-yet-due operation still never holds the channel hostage. The side of
-a rendezvous that arrives second pairs the two, under the channel lock,
-and only the side that arrived first parks:
+not-yet-due operation still never holds the channel hostage.
 
-* a reader that arrives first files a ``_ParkedRead`` in ``_readers`` and
-  parks on ``_monitor``, the entity monitor. The writer that claims the
-  channel next hands its value straight to it: it stores the value and the
-  rendezvous version in the record, logs the reader's read, bumps the
-  version, wakes the reader and returns at once, as Go's unbuffered send
-  to a waiting receiver does. The writer may return before the reader
-  runs: the pairing and its version were fixed under the lock, and the
-  reader records its event at the handed version whenever it gets the
-  lock back;
-* a writer that finds no eligible parked reader fills the slot and parks
-  on ``_taken``. The reader that arrives takes the value, records and logs
-  its read, bumps the version and wakes the writer, which frees the claim.
-
-So the side that arrives second bumps the version, once per rendezvous,
-and logs the read just before the write that the claim logged: the log
-holds a read and then a write at each version in turn, the digest order.
-
-The end of either kind of rendezvous wakes the parked claims. In replay
-each claim waits for its own recorded version, which the gate files in
-``_claims.due`` while it is parked, so they are woken only when one is due.
+Each side of a rendezvous that arrives first files one ``_Rendezvous``
+record and parks on ``_monitor``, the entity monitor: a reader in
+``_readers``, a writer that finds no eligible parked reader in ``_slot``,
+with its value. The side that arrives second pairs the two under the
+channel lock and completes the record in ``Channel._complete``: it stores
+the rendezvous version, logs the read just before the write that the
+claim logged, bumps the version, which wakes the first side, and wakes the
+parked claims. A writer that hands its value to a parked reader returns at
+once, as Go's unbuffered send to a waiting receiver does; the pairing and
+its version were fixed under the lock, and the reader records its event at
+the handed version whenever it gets the lock back. So a channel has two
+monitors, ``_monitor`` for the first sides and ``_claims`` for claims, and
+the log holds a read and then a write at each version in turn, the digest
+order. In replay each claim waits for its own recorded version, which the
+gate files in ``_claims.due`` while it is parked, so claims are woken only
+when one is due.
 
 Outside replay every parked reader is eligible, first come first served.
 In replay a reader is eligible only when the version it awaits, the data
@@ -57,17 +51,20 @@ from .tracing import (PASSIVE, REPLAY, Monitor, VersionedEntity, delay_interacti
                       increment_version, record_interaction, watchdog_wait)
 
 
-class _ParkedRead:
-    """A reader parked for a hand-off, of activity ``activity_id``. ``due``
-    is the version it awaits, its recorded one in replay and None
-    otherwise; the writer that pairs with it sets ``value`` and ``version``,
-    the rendezvous version, and logs the read in the channel's log."""
+class _Rendezvous:
+    """The side of a rendezvous that arrived first, of activity
+    ``activity_id``: a reader parked in ``_readers``, or the writer whose
+    ``value`` waits in ``_slot``. ``due`` is the version a reader awaits,
+    its recorded one in replay and None otherwise. The side that arrives
+    second completes it: ``Channel._complete`` sets ``version``, the
+    rendezvous version, and a writer handing off also sets ``value``."""
 
     __slots__ = ("activity_id", "due", "value", "version")
 
-    def __init__(self, activity_id: int, due: Optional[int]):
+    def __init__(self, activity_id: int, due: Optional[int], value: Any = None):
         self.activity_id = activity_id
         self.due = due
+        self.value = value
         self.version: Optional[int] = None
 
     def handed(self) -> bool:
@@ -81,15 +78,10 @@ class Channel(VersionedEntity):
 
     def __init__(self):
         super().__init__()
-        self._slot: Any = None
-        self._slot_full = False
-        # One rendezvous at a time through the slot: the writer is "active"
-        # from filling it until it has seen its value taken, so no new claim
-        # can start in between.
-        self._writer_active = False
-        self._readers: deque[_ParkedRead] = deque()
+        # The writer parked for its take; a claim waits while it is set.
+        self._slot: Optional[_Rendezvous] = None
+        self._readers: deque[_Rendezvous] = deque()
         self._claims = Monitor(self._lock)
-        self._taken = Monitor(self._lock)
 
     def check_version_completeness(self):
         # A read and then a write at each version 0..V-1 in turn.
@@ -100,47 +92,48 @@ class Channel(VersionedEntity):
                     f"write at each version 0..{self.version - 1} in turn")
         return None
 
-    def _log_read(self, activity_id: int) -> None:
-        """Log a read at the current version just before the write that the
-        rendezvous's claim logged last; monitor held, outside passive mode."""
-        for word in (activity_id, CHANNEL_READ, self.version):
-            self._log.insert(-3, word)
+    def _complete(self, first: _Rendezvous, reader_id: int) -> None:
+        """Complete the rendezvous whose first side is ``first``, parked on
+        ``_monitor``, with the side that arrived second; ``reader_id`` is
+        the reading activity. Monitor held, the claim already logged.
+
+        Sets the rendezvous version in ``first``, logs the read just before
+        the claim's write, bumps the version, which wakes ``first`` (in
+        passive mode, which bumps nothing, only wakes ``_monitor``), and
+        wakes the writers parked on ``_claims``; in replay, only when one
+        of them awaits the new version."""
+        first.version = self.version
+        if self.execution.mode is not PASSIVE:
+            for word in (reader_id, CHANNEL_READ, self.version):
+                self._log.insert(-3, word)
+            increment_version(self)
+        elif self._monitor.parked:
+            self._monitor.notify_all()
+        claims = self._claims
+        if claims.parked and (not claims.due or self.version in claims.due):
+            claims.notify_all()
 
     def write(self, value: Any) -> None:
         """Block until ``value`` is paired with a read.
 
-        Claims the channel at the gate, parked on ``_claims``. An eligible
-        parked reader then gets ``value`` by hand-off: the writer bumps the
-        version and wakes that reader (``increment_version`` does, except
-        in passive mode, which bumps nothing), and returns without waiting
-        for it to run. Otherwise the writer fills the slot and parks on
-        ``_taken`` until a reader takes the value and bumps the version.
-        Either way it then wakes the writers parked on ``_claims``; in
-        replay, only when one of them awaits the new version."""
+        Claims the channel at the gate, parked on ``_claims`` while the slot
+        holds a writer. An eligible parked reader then gets ``value`` by
+        hand-off, and the writer returns without waiting for it to run.
+        Otherwise the writer files itself in the slot and parks on
+        ``_monitor`` until a reader takes the value."""
         activity = current_activity()
         with self._lock:
             delay_interaction(activity, self, CHANNEL_WRITE,
-                              lambda: not self._writer_active, self._claims)
+                              lambda: self._slot is None, self._claims)
             reader = self._eligible_reader()
             if reader is not None:
                 reader.value = value
-                reader.version = self.version
-                if self.execution.mode is not PASSIVE:
-                    self._log_read(reader.activity_id)
-                    increment_version(self)
-                elif self._monitor.parked:
-                    self._monitor.notify_all()
+                self._complete(reader, reader.activity_id)
             else:
-                self._writer_active = True
-                self._slot = value
-                self._slot_full = True
-                watchdog_wait(self._taken, lambda: not self._slot_full, self.execution)
-                self._writer_active = False
-            claims = self._claims
-            if claims.parked and (not claims.due or self.version in claims.due):
-                claims.notify_all()
+                mine = self._slot = _Rendezvous(activity.id, None, value)
+                watchdog_wait(self._monitor, mine.handed, self.execution)
 
-    def _eligible_reader(self) -> Optional[_ParkedRead]:
+    def _eligible_reader(self) -> Optional[_Rendezvous]:
         """Remove and return the first parked reader due at the current
         version, or any first one outside replay; monitor held."""
         for reader in self._readers:
@@ -152,30 +145,25 @@ class Channel(VersionedEntity):
     def read(self) -> Any:
         """Block until paired with a writer; returns the written value.
 
-        With a value waiting in the slot (in replay: and the channel at
-        this read's recorded version), takes it, records the read, bumps
-        the version and wakes the writer parked on ``_taken``. Otherwise
-        parks on ``_monitor`` until a writer hands it a value, and then
-        records the read at the version it was handed: the writer has
-        already bumped the version and may have gone on, but the pairing
-        was fixed at the hand-off. In replay the trace head is checked
-        before parking and consumed when the read is recorded."""
+        With a writer in the slot (in replay: and the channel at this
+        read's recorded version), records the read, empties the slot and
+        completes the writer's rendezvous. Otherwise parks on ``_monitor``
+        until a writer hands it a value, and then records the read at the
+        version it was handed: the writer has already bumped the version
+        and may have gone on, but the pairing was fixed at the hand-off.
+        In replay the trace head is checked before parking and consumed
+        when the read is recorded."""
         activity = current_activity()
         with self._lock:
             due = (activity.replay_queue.expect(CHANNEL_READ)
                    if self.execution.mode is REPLAY else None)
-            if self._slot_full and (due is None or due == self.version):
+            writer = self._slot
+            if writer is not None and (due is None or due == self.version):
                 record_interaction(activity, CHANNEL_READ, self.version)
-                value = self._slot
                 self._slot = None
-                self._slot_full = False
-                if self.execution.mode is not PASSIVE:
-                    self._log_read(activity.id)
-                    increment_version(self)
-                if self._taken.parked:
-                    self._taken.notify()
-                return value
-            reader = _ParkedRead(activity.id, due)
+                self._complete(writer, activity.id)
+                return writer.value
+            reader = _Rendezvous(activity.id, due)
             self._readers.append(reader)
             try:
                 watchdog_wait(self._monitor, reader.handed, self.execution)

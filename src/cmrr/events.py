@@ -67,8 +67,10 @@ class TraceEvent(namedtuple("TraceEvent", "event_type data")):
     __slots__ = ()
 
     def __new__(cls, event_type: int, data: int):
-        if event_type not in _VALID_TAGS:
-            raise TraceFormatError(f"unregistered event tag {event_type}")
+        if not isinstance(event_type, int) or event_type not in _VALID_TAGS:
+            raise TraceFormatError(f"unregistered event tag {event_type!r}")
+        if not isinstance(data, int):
+            raise TraceFormatError(f"event data {data!r} is not an integer")
         if not 0 <= data < 1 << 64:
             raise TraceFormatError(f"event data {data} outside u64 range")
         return tuple.__new__(cls, (event_type, data))

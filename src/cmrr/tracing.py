@@ -277,13 +277,14 @@ class VersionedEntity:
     lock, and waiters for the entity park on the monitor, which
     ``increment_version`` wakes. An entity may add further ``Monitor``s
     over the same lock, one per kind of waiter, so that a state change
-    wakes only the waiters it can release; a channel parks its writers
-    apart from its readers. The entity also keeps an in-memory log of the
-    interactions it saw (recorded in recording mode, consumed in replay
-    mode), which feeds run digests and version-completeness checks: ``_log``
-    holds three words per interaction, its activity's id, type and data, in
-    the order a digest hashes: as they happen, except that a channel logs
-    a rendezvous's read when it completes, before the write of its claim.
+    wakes only the waiters it can release; a channel parks its claiming
+    writers apart from the waiting sides of its rendezvous. The entity
+    also keeps an in-memory log of the interactions it saw (recorded in
+    recording mode, consumed in replay mode), which feeds run digests and
+    version-completeness checks: ``_log`` holds three words per
+    interaction, its activity's id, type and data, in the order a digest
+    hashes: as they happen, except that a channel logs a rendezvous's
+    read when it completes, before the write of its claim.
     """
 
     kind = "entity"

@@ -212,6 +212,27 @@ def test_double_resolve_raises():
         passive_run(program)
 
 
+def test_promise_value_before_resolution_raises():
+    def program():
+        promise = Promise()
+        with pytest.raises(UsageError, match="^promise not resolved yet$"):
+            promise.value
+        promise.resolve(3)
+        return promise.value
+
+    assert passive_run(program)[1].outputs == 3
+
+
+def test_promise_holding_a_send_resolved_to_a_non_actor_raises():
+    def program():
+        promise = Promise()
+        promise.send("early")
+        promise.resolve(42)
+
+    with pytest.raises(UsageError, match="resolved to a non-actor value$"):
+        passive_run(program)
+
+
 def test_callbacks_require_actor_context():
     def program():
         Promise().when_resolved(lambda v: None)

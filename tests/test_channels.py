@@ -205,12 +205,12 @@ def test_passive_mode_plain_rendezvous():
 
 
 def test_each_rendezvous_parks_one_side_once(tmp_path, monkeypatch):
-    """Only the side of a rendezvous that arrived first parks, once: a
-    reader on ``_monitor`` for the hand-off, or a writer on ``_taken`` for
-    the take. A read that finds a value in the slot does not wait at all,
-    and a write waits to claim the channel, on ``_claims``, only when it
-    is blocked. So a rendezvous makes exactly one park besides any claim
-    waits, in every mode."""
+    """Only the side of a rendezvous that arrived first parks, once, on
+    ``_monitor``: a reader for the hand-off, or a writer for the take. A
+    read that finds a value in the slot does not wait at all, and a write
+    waits to claim the channel, on ``_claims``, only when it is blocked.
+    So a rendezvous makes exactly one park besides any claim waits, in
+    every mode."""
     path = str(tmp_path / "csp.trc")
     params = {"philosophers": 5, "rounds": 20}
     rendezvous = 5 * 20 * 5 + 1  # five per meal, one to finish
@@ -222,7 +222,7 @@ def test_each_rendezvous_parks_one_side_once(tmp_path, monkeypatch):
         ex.run(func, params)
         channels = [e for e in ex.entities if isinstance(e, Channel)]
         parks = [m for m, _, _ in waits
-                 if any(m is ch._monitor or m is ch._taken for ch in channels)]
+                 if any(m is ch._monitor for ch in channels)]
         claims = [m for m, _, _ in waits if any(m is ch._claims for ch in channels)]
         assert len(parks) == rendezvous == 501, mode
         assert len(parks) + len(claims) == len(waits), mode
@@ -239,11 +239,13 @@ def _wait_for_parked_readers(ch, count):
         time.sleep(0.001)
 
 
-def _parked_readers_program(channels, release_order):
+def _parked_readers_program(channels, writers, release_order):
     """Readers r1 and r2 park on one channel, in ``release_order``, before
-    the main activity writes "first" and then "second"."""
+    the main activity writes "first" and then "second". Appends the channel
+    to ``channels`` and the writing thread's ident to ``writers``."""
     ch = Channel()
     channels.append(ch)
+    writers.append(threading.get_ident())
     got = {}
     go = {"r1": threading.Event(), "r2": threading.Event()}
 
@@ -265,16 +267,17 @@ def _parked_readers_program(channels, release_order):
 @pytest.mark.parametrize("mode", ["passive", "record", "replay"])
 def test_write_hands_its_value_to_a_parked_reader(mode, tmp_path, monkeypatch):
     path = str(tmp_path / "handoff.trc")
-    channels, waits = [], note_watchdog_waits(monkeypatch)
+    channels, writers, waits = [], [], note_watchdog_waits(monkeypatch)
 
     def run(mode):
         waits.clear()
         result = Execution(mode, trace_path=path, watchdog_seconds=5.0).run(
-            _parked_readers_program, channels, ("r1", "r2"))
+            _parked_readers_program, channels, writers, ("r1", "r2"))
         ch = channels[-1]
         # Both readers parked for a hand-off; neither write waited for a take.
-        assert sum(m is ch._monitor for m, _, _ in waits) == 2
-        assert not any(m is ch._taken for m, _, _ in waits)
+        parked = [ident for m, _, ident in waits if m is ch._monitor]
+        assert len(parked) == 2
+        assert writers[-1] not in parked
         assert result.outputs == {"r1": "first", "r2": "second"}
         assert ch.check_version_completeness() is None
         return result
@@ -291,16 +294,18 @@ def test_replayed_write_passes_over_a_parked_reader_that_is_not_due(tmp_path, mo
     # but it awaits the second rendezvous, so the first write passes it
     # over and hands its value to r2.
     path = str(tmp_path / "due.trc")
-    channels, waits = [], note_watchdog_waits(monkeypatch)
+    channels, writers, waits = [], [], note_watchdog_waits(monkeypatch)
     recorded = Execution(ExecutionMode.RECORD, trace_path=path).run(
-        _parked_readers_program, channels, ("r2", "r1"))
+        _parked_readers_program, channels, writers, ("r2", "r1"))
     assert recorded.outputs == {"r1": "second", "r2": "first"}
     waits.clear()
     replayed = Execution(ExecutionMode.REPLAY, trace_path=path, watchdog_seconds=5.0).run(
-        _parked_readers_program, channels, ("r1", "r2"))
+        _parked_readers_program, channels, writers, ("r1", "r2"))
     assert replayed.outputs == recorded.outputs
     assert replayed.digest == recorded.digest
-    assert not any(m is channels[-1]._taken for m, _, _ in waits)
+    # Neither write waited for a take.
+    assert not any(m is channels[-1]._monitor and ident == writers[-1]
+                   for m, _, ident in waits)
 
 
 def _many_to_many_program(writers, readers, per_writer):

@@ -310,8 +310,11 @@ def test_record_buffer_flush_threshold(monkeypatch):
 @pytest.mark.parametrize("event_type, data, problem", [
     (EventType.LOCK, 2**64, "event data 18446744073709551616 outside u64 range"),
     (EventType.LOCK, -1, "event data -1 outside u64 range"),
+    (EventType.LOCK, None, "event data None is not an integer"),
+    (EventType.LOCK, "7", "event data '7' is not an integer"),
     (13, 7, "unregistered event tag 13"),
-], ids=["data-2**64", "data-minus-1", "tag-13"])
+    ("7", 7, "unregistered event tag '7'"),
+], ids=["data-2**64", "data-minus-1", "data-None", "data-str", "tag-13", "tag-str"])
 def test_bad_event_fails_its_flush_and_no_part_of_its_chunk_is_written(
         trace_path, monkeypatch, event_type, data, problem):
     # chunks of five events: 0-4 flush whole, 5-9 hold the bad event 7
@@ -329,7 +332,7 @@ def test_bad_event_fails_its_flush_and_no_part_of_its_chunk_is_written(
     ex = Execution(ExecutionMode.RECORD, trace_path=trace_path)
     with pytest.raises(TraceFormatError) as info:
         ex.run(program)
-    assert str(info.value) == f"activity 0: cannot record event 7, ({event_type}, {data}): {problem}"
+    assert str(info.value) == f"activity 0: cannot record event 7, ({event_type}, {data!r}): {problem}"
     trace = parse_trace(trace_path)
     assert list(trace.queues[0].events) == [TraceEvent(EventType.LOCK, i) for i in range(5)]
 
@@ -366,6 +369,26 @@ def test_bad_event_flushed_at_run_end_leaves_other_activities_flushed(trace_path
     assert 0 not in trace.queues
     actor_id, = trace.queues
     assert list(trace.queues[actor_id].events) == [TraceEvent(EventType.LOCK, 3)]
+
+
+def test_non_integer_data_word_fails_the_run_and_other_activities_still_flush(trace_path):
+    # The bad event is main's first; under the receiver strategy the actor
+    # records each message it takes, and those five events must reach the
+    # trace although main's final flush fails first.
+    def program():
+        actor = spawn_actor(lambda msg: None)
+        for i in range(5):
+            send(actor, i)
+        record_interaction(current_activity(), EventType.LOCK, None)
+
+    ex = Execution(ExecutionMode.RECORD, strategy="receiver", trace_path=trace_path)
+    with pytest.raises(TraceFormatError, match=r"^activity 0: cannot record event \d+, "
+                                               r"\(1, None\): event data None is not an integer$"):
+        ex.run(program)
+    trace = parse_trace(trace_path)
+    assert 0 not in trace.queues
+    actor_id, = trace.queues
+    assert len(trace.queues[actor_id]) == 5
 
 
 def _queue(owner_id, events):

@@ -1,6 +1,7 @@
 """Execution lifecycle: sinks, flushing, full-consumption, perturbation."""
 
 import random
+import re
 import threading
 import time
 
@@ -12,6 +13,7 @@ from cmrr import (
     ExecutionMode,
     MemorySink,
     PerturbationPlan,
+    Promise,
     RRLock,
     current_activity,
     parse_trace,
@@ -275,3 +277,32 @@ def test_trace_write_error_in_final_flush_fails_the_run(trace_path, monkeypatch)
     with pytest.raises(OSError, match="No space left"):
         ex.run(_lock_rounds, 2)
     assert ex.sink.chunks_written == 0
+
+
+def _one_lock_and_one_promise():
+    lock = RRLock()
+    for _ in range(2):
+        with lock:
+            pass
+    Promise().resolve(1)
+
+
+@pytest.mark.parametrize("entity, edit, problem", [
+    # A promise keeps the base rule: its versions are exactly 0..version-1.
+    (Promise, lambda p: setattr(p, "version", 2),
+     r"promise \(0, 1\): recorded versions \[0\]\.\.\. do not cover 0\.\.1"),
+    (RRLock, lambda lock: lock._log.__setitem__(5, 0),
+     r"lock \(0, 0\): duplicate recorded versions"),
+    (RRLock, lambda lock: lock._log.__setitem__(5, 2),
+     r"lock \(0, 0\): recorded version beyond final counter"),
+    (RRLock, lambda lock: setattr(lock, "untimed_reacquisitions", 1),
+     r"lock \(0, 0\): 2 recorded \+ 1 untimed reacquisitions != final version 2"),
+], ids=["base-rule", "lock-duplicate", "lock-beyond-final", "lock-count"])
+def test_version_completeness_report_names_each_violation(trace_path, entity, edit, problem):
+    ex, _ = record_run(_one_lock_and_one_promise, trace_path)
+    assert ex.version_completeness_report() == []
+    target, = (e for e in ex.entities if isinstance(e, entity))
+    edit(target)
+    report = ex.version_completeness_report()
+    assert len(report) == 1
+    assert re.fullmatch(problem, report[0]), report

@@ -218,3 +218,33 @@ def test_body_exception_discards_attempt(trace_path):
         e.event_type for q in parse_trace(trace_path).queues.values() for e in q.events
     )
     assert EventType.TX_COMMIT not in counts
+
+
+def test_a_transaction_reads_its_own_writes_also_after_a_conflict_retry():
+    # The first attempt waits, between its writes and its commit, for
+    # another thread to commit to the same cell, so it conflicts and retries.
+    def program():
+        cell = TxRef(0)
+        seen = []
+        conflicting, committed = threading.Event(), threading.Event()
+
+        def other():
+            conflicting.wait(5)
+            atomic(lambda: cell.set(100))
+            committed.set()
+
+        def body():
+            before = cell.get()
+            cell.set(before + 1)
+            seen.append((before, cell.get()))
+            if len(seen) == 1:
+                conflicting.set()
+                committed.wait(5)
+
+        t = spawn_thread(other)
+        atomic(body)
+        t.join()
+        return {"seen": seen, "final": cell.get()}
+
+    _, result = passive_run(program)
+    assert result.outputs == {"seen": [(0, 1), (100, 101)], "final": 101}

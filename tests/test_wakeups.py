@@ -6,10 +6,10 @@ both halves of that rule: an uncontended operation makes no
 ``notify_all`` call at all, and a thread parked in ``watchdog_wait`` is
 still woken at once, not by its next wait tick, by each kind of operation
 that can unblock it, and so are joins and the end of a run. A channel
-keeps one monitor per kind of waiter, and a test checks that its waits
-seldom wake to a predicate that is still false. Over every benchmark, a
-model operation enters ``watchdog_wait`` only to park, and leaves no
-parked count or awaited version behind.
+parks its claims apart from the waiting sides of its rendezvous, and a
+test checks that its waits seldom wake to a predicate that is still
+false. Over every benchmark, a model operation enters ``watchdog_wait``
+only to park, and leaves no parked count or awaited version behind.
 """
 
 import threading
@@ -114,7 +114,7 @@ def _acquire_release(lock):
 def _channel_with_writer_parked_for_its_take():
     ch = Channel()
     spawn_thread(ch.write, "first")
-    _wait_until_parked(ch._taken)
+    _wait_until_parked(ch._monitor)
     return ch
 
 
@@ -131,10 +131,9 @@ WAKERS = {
         ExecutionMode.PASSIVE, _held_lock, _acquire_release, RRLock.release),
     "channel_rendezvous": (
         ExecutionMode.PASSIVE, Channel, Channel.read, lambda ch: ch.write("m")),
-    # The writer parks on ``_taken`` until the read takes its value.
+    # The writer parks on ``_monitor`` until the read takes its value.
     "channel_take": (
-        ExecutionMode.PASSIVE, Channel, lambda ch: ch.write("m"), Channel.read,
-        "_taken"),
+        ExecutionMode.PASSIVE, Channel, lambda ch: ch.write("m"), Channel.read),
     # A second writer parks on ``_claims`` while the first waits for its
     # take; the first read ends that rendezvous, which must wake the claim,
     # and the second read pairs with the second writer.
@@ -176,9 +175,11 @@ def test_replayed_channel_claim_is_woken_before_its_wait_tick(tmp_path, monkeypa
 
 
 def test_channel_waits_are_seldom_woken_in_vain(tmp_path, monkeypatch):
-    # Readers, claiming writers and the writer awaiting its take park on
-    # separate monitors, so a hand-off wakes only waiters it can release.
-    # With one shared monitor a fifth of the parked waits woke in vain.
+    # Claiming writers park on ``_claims``, apart from the first side of
+    # each rendezvous on ``_monitor``, a reader awaiting its hand-off or the
+    # writer awaiting its take, so completing a rendezvous wakes only
+    # waiters it can release. With one shared monitor for claims too, a
+    # fifth of the parked waits woke in vain.
     parked, wasted = count_wasted_wakes(monkeypatch)
     path = str(tmp_path / "csp.trc")
     func = bench.REGISTRY["philosophers-csp"].func
