@@ -108,19 +108,18 @@ class ThreadActivity(Activity):
 
     def __init__(self, execution, activity_id, kind, entry, args, name=""):
         super().__init__(execution, activity_id, kind, name)
-        self._entry = entry
-        self._args = args
-        self._thread = threading.Thread(target=self._bootstrap, name=self.name, daemon=True)
+        self._thread = threading.Thread(target=self._bootstrap, args=(entry, args),
+                                        name=self.name, daemon=True)
         self.done = False
 
     def start(self) -> None:
         self._thread.start()
 
-    def _bootstrap(self) -> None:
+    def _bootstrap(self, entry, args) -> None:
         set_current_activity(self)
         ex = self.execution
         try:
-            self._entry(*self._args)
+            entry(*args)
         except BaseException as exc:  # noqa: BLE001 - first failure aborts the run
             ex.abort(exc)
         finally:

@@ -278,7 +278,9 @@ class ActorActivity(Activity):
 
 
 class ActorPool:
-    """Fixed-size worker pool multiplexing all actor event loops."""
+    """Fixed-size worker pool multiplexing all actor event loops; the
+    workers start with the first ready actor, so a run without actor mail
+    starts none."""
 
     def __init__(self, execution, size: int):
         self.execution = execution
@@ -287,20 +289,15 @@ class ActorPool:
         self._ready_cond = threading.Condition()
         self._workers: list[threading.Thread] = []
         self._shutdown = False
-        self._start_lock = threading.Lock()
-
-    def start(self) -> None:
-        with self._start_lock:
-            if self._workers:
-                return
-            for i in range(self.size):
-                t = threading.Thread(target=self._worker_loop,
-                                     name=f"actor-worker-{i}", daemon=True)
-                t.start()
-                self._workers.append(t)
 
     def push_ready(self, actor: ActorActivity) -> None:
         with self._ready_cond:
+            if not self._workers:
+                for i in range(self.size):
+                    t = threading.Thread(target=self._worker_loop,
+                                         name=f"actor-worker-{i}", daemon=True)
+                    t.start()
+                    self._workers.append(t)
             self._ready.append(actor)
             self._ready_cond.notify()
 

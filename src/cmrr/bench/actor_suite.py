@@ -73,8 +73,9 @@ def counting(params: dict) -> dict:
 
 
 def fj_creation(params: dict) -> dict:
-    fanout = int_param(params, "fanout", 5)
-    depth = int_param(params, "depth", 3)
+    # Without children a node never finishes; below depth 0 none is a leaf.
+    fanout = int_param(params, "fanout", 5, least=1)
+    depth = int_param(params, "depth", 3, least=0)
     latch = CompletionLatch(1)
     result = {}
 

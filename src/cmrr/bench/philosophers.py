@@ -63,7 +63,8 @@ def philosophers_stm(params: dict) -> dict:
 
 
 def philosophers_csp(params: dict) -> dict:
-    n = int_param(params, "philosophers", 5)
+    # A lone philosopher would write twice to a fork that awaits its put.
+    n = int_param(params, "philosophers", 5, least=2)
     rounds = int_param(params, "rounds", 200)
     take = [Channel() for _ in range(n)]
     put = [Channel() for _ in range(n)]

@@ -89,7 +89,7 @@ def _fit_trend(series: tuple[float, ...]) -> float:
 
 def sales_pipeline(params: dict) -> dict:
     records = int_param(params, "records", 50)
-    projects = int_param(params, "projects", 4)
+    projects = int_param(params, "projects", 4, least=1)  # the feed draws one
     feed_seed = int_param(params, "feed_seed", 42)
     latch = CompletionLatch(1)
     refs = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from typing import Optional
 
 from ..errors import UsageError
 from ..locks import RRCondition, RRLock
@@ -38,9 +39,15 @@ def sequence_digest(items) -> str:
     return h.hexdigest()[:16]
 
 
-def int_param(params: dict, key: str, default: int) -> int:
+def int_param(params: dict, key: str, default: int, least: Optional[int] = None) -> int:
+    """``params[key]``, else ``default``, as an integer of at least
+    ``least``: a benchmark refuses a value it could not finish with before
+    it starts an activity."""
     value = params.get(key, default)
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise UsageError(f"parameter {key} expects an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise UsageError(f"parameter {key} must be at least {least}, got {number}")
+    return number

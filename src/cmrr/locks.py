@@ -22,9 +22,10 @@ version is in the lock monitor's ``due``.
 Recorded timeouts are simulated: replay releases the lock and reacquires
 it through the same interaction gate as an explicit acquisition, at the
 recorded version, instead of letting wall time pass. Every other
-condition wait parks once, for its reacquisition: its waiter must head
-the implicit queue, which in replay only the actual (replayed) signal
-puts it in, and the lock must be free. A recorded signal then passes the
+condition wait parks once, for its reacquisition: the waiting activity
+must head the implicit queue, which in replay only the actual (replayed)
+signal puts it in, and the lock must be free. Both queues hold the
+waiting activities themselves. A recorded signal then passes the
 reacquisition version to ``record_interaction``, which checks it against
 the trace as it does every event the program computes.
 """
@@ -50,13 +51,6 @@ from .tracing import (
 )
 
 
-class _CondWaiter:
-    __slots__ = ("signaled",)
-
-    def __init__(self):
-        self.signaled = False
-
-
 class RRLock(VersionedEntity):
     """Reentrant exclusive lock; version counts completed acquisitions."""
 
@@ -66,8 +60,9 @@ class RRLock(VersionedEntity):
         super().__init__()
         self._owner: Optional[Activity] = None
         self._depth = 0
-        # Signaled condition waiters awaiting reacquisition, in signal order.
-        self._implicit_queue: deque[_CondWaiter] = deque()
+        # Activities awaiting reacquisition after a condition wait, in the
+        # order a signal, or a recording's deadline, moved them here.
+        self._implicit_queue: deque[Activity] = deque()
         # Untimed condition waits record nothing but bump the version.
         self.untimed_reacquisitions = 0
 
@@ -143,14 +138,14 @@ class RRLock(VersionedEntity):
             self._monitor.notify_all()
         return depth
 
-    def _reacquire_implicit(self, act: Activity, waiter: _CondWaiter, depth: int) -> None:
+    def _reacquire_implicit(self, act: Activity, depth: int) -> None:
         """Reacquire after a condition wait; FIFO among implicit waiters,
         deferring to any replayed gate parked for the current version."""
         # monitor held; heading the implicit queue implies a signal or timeout
         def may_go():
             return (self._owner is None
                     and self._implicit_queue
-                    and self._implicit_queue[0] is waiter
+                    and self._implicit_queue[0] is act
                     and self.version not in self._monitor.due)
 
         if not may_go():  # a record-mode timed wait may already go
@@ -161,12 +156,14 @@ class RRLock(VersionedEntity):
 
 
 class RRCondition:
-    """Condition variable bound to an RRLock; FIFO wake order. Both waits
-    run one body, ``_wait``; only a timed wait records its outcome."""
+    """Condition variable bound to an RRLock; FIFO wake order. Its wait
+    queue holds the waiting activities; a signal moves them to the lock's
+    implicit queue. Both waits run one body, ``_wait``; only a timed wait
+    records its outcome."""
 
     def __init__(self, lock: RRLock):
         self._lock = lock
-        self._wait_queue: deque[_CondWaiter] = deque()
+        self._wait_queue: deque[Activity] = deque()
 
     def wait(self) -> None:
         """Release the lock, wait for a signal, reacquire.
@@ -201,30 +198,32 @@ class RRCondition:
             if replayed and act.replay_queue.peek()[0] == AWAIT_TIMEOUT:
                 lock._acquire_gated(act, AWAIT_TIMEOUT, depth)
                 return False
-            waiter = _CondWaiter()
-            self._wait_queue.append(waiter)
+            self._wait_queue.append(act)
+            signaled = True
             if timeout is not None and not replayed:
-                # The only wait bounded by wall time. A waiter still
-                # unsignaled at the deadline withdraws and rejoins as a
-                # timed-out reacquirer, atomically because signals move
-                # waiters only under this monitor.
+                # The only wait bounded by wall time. An activity that no
+                # signal has moved out of the wait queue by the deadline
+                # withdraws and rejoins as a timed-out reacquirer,
+                # atomically because signals move waiters only under this
+                # monitor.
                 deadline = time.monotonic() + timeout
-                while not waiter.signaled:
+                while act in self._wait_queue:
                     remaining = deadline - time.monotonic()
                     if not remaining > 0:  # also times out on nan
-                        self._wait_queue.remove(waiter)
-                        lock._implicit_queue.append(waiter)
+                        self._wait_queue.remove(act)
+                        lock._implicit_queue.append(act)
+                        signaled = False
                         break
                     ex.check_abort()
                     lock._monitor.wait(min(WAIT_TICK, remaining))
-            lock._reacquire_implicit(act, waiter, depth)
+            lock._reacquire_implicit(act, depth)
             if timeout is not None:
-                record_interaction(act, AWAIT_SIGNALED if waiter.signaled else AWAIT_TIMEOUT,
+                record_interaction(act, AWAIT_SIGNALED if signaled else AWAIT_TIMEOUT,
                                    lock.version, entity=lock)
             elif ex.mode is not PASSIVE:
                 lock.untimed_reacquisitions += 1
             increment_version(lock)
-            return waiter.signaled
+            return signaled
 
     def signal(self) -> None:
         """Wake the longest-waiting waiter; no event is recorded."""
@@ -235,7 +234,7 @@ class RRCondition:
         self._signal(every=True)
 
     def _signal(self, every: bool) -> None:
-        """Move the longest-waiting waiter, or ``every`` one in order, to
+        """Move the longest-waiting activity, or ``every`` one in order, to
         the lock's implicit queue; the caller must hold the lock."""
         lock = self._lock
         act = current_activity()
@@ -246,8 +245,6 @@ class RRCondition:
             if not waiters:
                 return
             for _ in range(len(waiters) if every else 1):
-                waiter = waiters.popleft()
-                waiter.signaled = True
-                lock._implicit_queue.append(waiter)
+                lock._implicit_queue.append(waiters.popleft())
             if lock._monitor.parked:
                 lock._monitor.notify_all()

@@ -150,12 +150,11 @@ class Execution:
         self.live = 0
         self.live_lock = threading.Lock()
         self.live_monitor = Monitor(self.live_lock)
-        self._abort_lock = threading.Lock()
+        # Guards the abort error, ``activities`` and ``entities``.
+        self._lock = threading.Lock()
         self._abort_exc: Optional[BaseException] = None
-        self._activities_lock = threading.Lock()
         self.activities: dict[int, Activity] = {}
         self.entities: list[VersionedEntity] = []
-        self._entities_lock = threading.Lock()
         # Sequence of entities created outside any activity, ids (-1, n).
         self.internal_entity_seq = count()
         self._ran = False
@@ -194,11 +193,11 @@ class Execution:
     # -- bookkeeping ----------------------------------------------------------
 
     def register_entity(self, entity: VersionedEntity) -> None:
-        with self._entities_lock:
+        with self._lock:
             self.entities.append(entity)
 
     def attach_activity(self, activity: Activity) -> None:
-        with self._activities_lock:
+        with self._lock:
             if activity.id in self.activities:
                 raise UsageError(f"duplicate activity id {activity.id}")
             self.activities[activity.id] = activity
@@ -218,7 +217,7 @@ class Execution:
         Ignores ``ExecutionAborted``, which a wait raises after a failure."""
         if isinstance(exc, ExecutionAborted):
             return
-        with self._abort_lock:
+        with self._lock:
             if self._abort_exc is None:
                 self._abort_exc = exc
         self.progress += 1
@@ -238,11 +237,16 @@ class Execution:
         activity creation immediately.
         """
         parent = current_activity()
-        child_id = child_activity_id(parent.id, next(parent.spawn_counter))
+        try:
+            child_id = child_activity_id(parent.id, next(parent.spawn_counter))
+        except OverflowError as exc:
+            # Abort first: an actor handler keeps the errors it raises.
+            err = UsageError(f"{parent.name} cannot spawn: {exc}")
+            self.abort(err)
+            raise err from exc
         record_interaction(parent, ACTIVITY_SPAWN, child_id)
         if kind is ActivityKind.ACTOR:
             child: Activity = ActorActivity(self, child_id, entry, name)
-            self.actor_pool.start()
         else:
             child = ThreadActivity(self, child_id, kind, entry, args, name)
             self.count_live(1)
@@ -347,7 +351,7 @@ class Execution:
         """Stable hash over outputs and per-entity ordered interaction logs."""
         h = hashlib.sha256()
         h.update(json.dumps(outputs, sort_keys=True, default=repr).encode())
-        with self._entities_lock:
+        with self._lock:
             entities = sorted(self.entities, key=lambda e: e.entity_id)
         for entity in entities:
             h.update(f"\n#{entity.kind}{entity.entity_id}".encode())
@@ -361,7 +365,7 @@ class Execution:
     def version_completeness_report(self) -> list[str]:
         """Violations of the gap-free 0..K-1 recorded-version property."""
         problems = []
-        with self._entities_lock:
+        with self._lock:
             entities = list(self.entities)
         for entity in entities:
             problem = entity.check_version_completeness()

@@ -79,7 +79,6 @@ class TraceFile:
     queues: dict[int, ReplayQueue]
     chunk_count: int
     file_size: int
-    path: str = ""
 
     @property
     def strategy(self) -> ActorStrategy:
@@ -114,10 +113,10 @@ def parse_trace(path: str) -> TraceFile:
     an unsupported version, or a truncated chunk raise TraceFormatError.
     """
     with open(path, "rb") as fh:
-        return parse_trace_bytes(fh.read(), path=path)
+        return parse_trace_bytes(fh.read())
 
 
-def parse_trace_bytes(data: bytes, path: str = "") -> TraceFile:
+def parse_trace_bytes(data: bytes) -> TraceFile:
     if len(data) < HEADER_SIZE:
         raise TraceFormatError("truncated header")
     magic, version, flags = _HEADER_STRUCT.unpack_from(data, 0)
@@ -154,7 +153,7 @@ def parse_trace_bytes(data: bytes, path: str = "") -> TraceFile:
 
     queues = {aid: ReplayQueue(aid, types, words) for aid, (types, words) in columns.items()}
     return TraceFile(format_version=version, strategy_flags=flags, queues=queues,
-                     chunk_count=chunk_count, file_size=len(data), path=path)
+                     chunk_count=chunk_count, file_size=len(data))
 
 
 class TraceSink:
@@ -195,7 +194,6 @@ class FileSink(TraceSink):
     """
 
     def __init__(self, path: str):
-        self.path = path
         self._fh = open(path, "wb")
         self._lock = threading.Lock()
         self._error: OSError | None = None

@@ -17,7 +17,8 @@ from cmrr import (
     spawn_thread,
 )
 from cmrr.activities import ThreadActivity, child_activity_id
-from cmrr.errors import ReplayError, ReplayQueueExhausted, ReplayTypeMismatch
+from cmrr.bench.actor_suite import fj_creation
+from cmrr.errors import ReplayError, ReplayQueueExhausted, ReplayTypeMismatch, UsageError
 from conftest import record_run, replay_run, rewrite_trace
 
 
@@ -51,6 +52,11 @@ def test_id_encoding_overflow_detected():
     with pytest.raises(OverflowError):
         for _ in range(40):
             activity_id = child_activity_id(activity_id, 0)
+
+
+def test_negative_spawn_counter_rejected():
+    with pytest.raises(ValueError, match="spawn counter must be non-negative"):
+        child_activity_id(0, -1)
 
 
 def test_spawn_records_one_event_per_child(trace_path):
@@ -215,3 +221,21 @@ def test_a_failed_thread_start_that_is_not_caught_fails_the_run(monkeypatch):
                           lambda: spawn_thread(lambda: None))
     assert isinstance(outcome, RuntimeError)
     assert str(outcome) == "can't start new thread"
+
+
+def _thread_chain(depth):
+    if depth:
+        spawn_thread(_thread_chain, depth - 1).join()
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.PASSIVE, ExecutionMode.RECORD])
+@pytest.mark.parametrize("program", [
+    lambda: _thread_chain(20),
+    # An actor handler keeps the errors it raises: only the abort ends this run.
+    lambda: fj_creation({"fanout": 1, "depth": 20}),
+], ids=["thread-chain", "actor-chain"])
+def test_spawning_past_the_id_limit_fails_the_run_with_a_usage_error(mode, program):
+    outcome = _run_within(1.0, Execution(mode, sink="discard"), program)
+    assert isinstance(outcome, UsageError)
+    assert isinstance(outcome.__cause__, OverflowError)
+    assert "cannot spawn: spawn tree too deep/wide for 64-bit activity ids" in str(outcome)

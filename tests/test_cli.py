@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,8 @@ from cmrr import EventType, bench, current_activity, spawn_thread
 from cmrr.bench import BenchmarkSpec
 from cmrr.cli import EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_OK, main
 from cmrr.tracefile import write_chunk, write_header
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _run(capsys, *argv):
@@ -201,3 +205,27 @@ def test_self_join_is_a_usage_error(monkeypatch, capsys):
     assert code == EXIT_FORMAT
     assert out == ""
     assert err == "usage error: activity cannot join itself\n"
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("philosophers-csp", ["philosophers=1"],
+     "parameter philosophers must be at least 2, got 1"),
+    ("fj-creation-actors", ["fanout=0"], "parameter fanout must be at least 1, got 0"),
+    ("fj-creation-actors", ["depth=-1"], "parameter depth must be at least 0, got -1"),
+    ("sales-pipeline", ["projects=0"], "parameter projects must be at least 1, got 0"),
+    ("fj-creation-actors", ["fanout=1", "depth=20"],
+     "cannot spawn: spawn tree too deep/wide for 64-bit activity ids"),
+], ids=["one-philosopher", "no-fanout", "negative-depth", "no-projects", "past-id-limit"])
+def test_run_refuses_parameters_it_could_not_finish_with(name, params, message):
+    """Each of these would otherwise run for ever; the run is a
+    subprocess, so a hang ends in its timeout."""
+    argv = [sys.executable, "-m", "cmrr.cli", "run", name]
+    for param in params:
+        argv += ["--params", param]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=10, env=env)
+    assert done.returncode == EXIT_FORMAT, done.stdout + done.stderr
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("usage error: ")
+    assert message in done.stderr

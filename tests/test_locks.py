@@ -371,10 +371,10 @@ def test_each_replayed_condition_wait_parks_once(trace_path, monkeypatch, progra
     per_wait = []
     reacquire = RRLock._reacquire_implicit
 
-    def noting_reacquire(lock, act, waiter, depth):
+    def noting_reacquire(lock, act, depth):
         me = threading.get_ident()
         before = sum(thread == me for _, _, thread in waits)
-        reacquire(lock, act, waiter, depth)
+        reacquire(lock, act, depth)
         per_wait.append(sum(thread == me for _, _, thread in waits) - before)
 
     monkeypatch.setattr(RRLock, "_reacquire_implicit", noting_reacquire)

@@ -20,6 +20,7 @@ from cmrr import (
     spawn_thread,
 )
 from cmrr import bench, tracefile, tracing
+from cmrr.activities import Activity, ActivityKind
 from cmrr.errors import ReplayLeftoverEvents, UsageError
 from cmrr.tracefile import TraceSink, parse_trace_bytes
 from conftest import record_run, replay_run
@@ -114,6 +115,18 @@ def test_execution_runs_exactly_once():
     ex.run(lambda: None)
     with pytest.raises(UsageError):
         ex.run(lambda: None)
+
+
+def test_duplicate_activity_id_rejected():
+    ex = Execution(ExecutionMode.PASSIVE)
+    Activity(ex, 0, ActivityKind.THREAD)
+    with pytest.raises(UsageError, match="duplicate activity id 0"):
+        Activity(ex, 0, ActivityKind.THREAD)
+
+
+def test_trace_sink_base_class_submits_nothing():
+    with pytest.raises(NotImplementedError):
+        TraceSink().submit(0, b"")
 
 
 def test_record_to_file_requires_path():

@@ -248,3 +248,14 @@ def test_a_transaction_reads_its_own_writes_also_after_a_conflict_retry():
 
     _, result = passive_run(program)
     assert result.outputs == {"seen": [(0, 1), (100, 101)], "final": 101}
+
+
+def test_repr_names_the_label_or_else_the_object():
+    def program():
+        labelled, bare = TxRef(0, "meals-0"), TxRef(0)
+        return repr(labelled), repr(bare), hex(id(bare))
+
+    _, result = passive_run(program)
+    labelled, bare, address = result.outputs
+    assert labelled == "<TxRef meals-0>"
+    assert bare == f"<TxRef {address}>"
