@@ -28,6 +28,11 @@ signal puts it in, and the lock must be free. Both queues hold the
 waiting activities themselves. A recorded signal then passes the
 reacquisition version to ``record_interaction``, which checks it against
 the trace as it does every event the program computes.
+
+Nearly every acquisition is uncontended, so ``acquire`` and ``release``
+enter the entity lock with ``acquire()`` and ``try``/``finally``, cheaper
+than ``with``, and ``acquire`` calls ``delay_interaction`` with no helper
+in between.
 """
 
 from __future__ import annotations
@@ -82,20 +87,18 @@ class RRLock(VersionedEntity):
 
     def acquire(self) -> None:
         act = current_activity()
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._owner is act:
                 self._depth += 1  # reentrant: deterministic, not recorded
                 return
-            self._acquire_gated(act, LOCK, 1)
-
-    def _acquire_gated(self, act: Activity, event_type: int, depth: int) -> None:
-        """Acquire through the interaction gate as one ``event_type``
-        interaction (LOCK, or a replayed AWAIT_TIMEOUT) and leave the lock
-        held at ``depth``; monitor held, ``act`` not the owner."""
-        delay_interaction(act, self, event_type, self._gate_ready)
-        self._owner = act
-        self._depth = depth
-        increment_version(self)
+            delay_interaction(act, self, LOCK, self._gate_ready)
+            self._owner = act
+            self._depth = 1
+            increment_version(self)
+        finally:
+            lock.release()
 
     def _gate_ready(self) -> bool:
         """Readiness of a gated acquisition; monitor held. Recording gives
@@ -108,7 +111,9 @@ class RRLock(VersionedEntity):
 
     def release(self) -> None:
         act = current_activity()
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._owner is not act:
                 raise NotOwner(f"{act.name} does not hold this lock")
             self._depth -= 1
@@ -116,6 +121,8 @@ class RRLock(VersionedEntity):
                 self._owner = None
                 if self._monitor.parked:
                     self._monitor.notify_all()
+        finally:
+            lock.release()
 
     def __enter__(self):
         self.acquire()
@@ -196,7 +203,11 @@ class RRCondition:
                 act.replay_queue.expect(AWAIT_SIGNALED, AWAIT_TIMEOUT)
             depth = lock._release_fully(act)
             if replayed and act.replay_queue.peek()[0] == AWAIT_TIMEOUT:
-                lock._acquire_gated(act, AWAIT_TIMEOUT, depth)
+                # taken as an explicit acquisition, at the recorded version
+                delay_interaction(act, lock, AWAIT_TIMEOUT, lock._gate_ready)
+                lock._owner = act
+                lock._depth = depth
+                increment_version(lock)
                 return False
             self._wait_queue.append(act)
             signaled = True

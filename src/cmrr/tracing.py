@@ -15,9 +15,9 @@ every instrumented operation is built from:
   until the entity's version matches the version stored in the
   activity's next trace event (and, optionally, the operation's own
   readiness predicate holds), then consumes that event; otherwise it
-  holds it until it is ready and records the entity's current version.
-  A turn that has already come is taken inline, without entering the
-  wait layer.
+  holds it until it is ready and records the entity's current version,
+  as ``record_interaction`` would but without calling it. A turn that
+  has already come is taken inline, without entering the wait layer.
 
 Call both with the entity's monitor held; neither enters it itself.
 
@@ -300,8 +300,11 @@ class VersionedEntity:
             self.entity_id = (-1, next(execution.internal_entity_seq))
         self.execution = execution
         self.version = 0
-        # ``with self._lock`` holds the monitor without the Python-level
-        # context manager of ``Condition``; every model operation uses it.
+        # Entering ``_lock`` holds the monitor without the Python-level
+        # context manager of ``Condition``. Model operations enter it with
+        # ``with self._lock``, except ``RRLock.acquire`` and ``release``,
+        # the hottest: an RLock's ``acquire()`` and ``try``/``finally:
+        # release()`` cost about half its ``with``.
         self._lock = threading.RLock()
         self._monitor = Monitor(self._lock)
         self._log = array("Q")
@@ -389,8 +392,11 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     ``expected_type``, waits until ``entity.version`` equals the version
     stored in that event and ``ready()`` (when given) holds, then
     consumes and logs it and returns that version. Record and
-    passive: waits for ``ready()``, records the event at the entity's
-    current version (a no-op when passive) and returns ``None``.
+    passive: waits for ``ready()``, records and logs the event at the
+    entity's current version (a no-op when passive) and returns
+    ``None``. Both arms call ``activity.perturb_point`` once, as
+    ``record_interaction`` does; the record arm writes the buffer and
+    the log itself rather than call it, one frame fewer per turn.
 
     A gate whose turn has already come takes it inline: it calls no
     ``watchdog_wait`` and, in replay, files nothing. Only a gate that must
@@ -406,10 +412,15 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
     ex = activity.execution
     if monitor is None:
         monitor = entity._monitor
-    if ex.mode is not REPLAY:
+    mode = ex.mode
+    if mode is not REPLAY:
         if ready is not None and not ready():
             watchdog_wait(monitor, ready, ex)
-        record_interaction(activity, expected_type, entity.version, entity=entity)
+        activity.perturb_point()
+        if mode is RECORD:
+            version = entity.version
+            activity.buffer.put(expected_type, version)
+            entity._log.fromlist([activity.id, expected_type, version])
         return None
     activity.perturb_point()
     queue = activity.replay_queue

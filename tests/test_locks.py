@@ -449,3 +449,77 @@ def test_signaled_reacquisition_defers_to_a_parked_replayed_timeout(trace_path):
     _, replayed = replay_run(_timeout_under_holder_program, trace_path, rounds, False,
                              watchdog=1.0)
     assert replayed.digest == recorded.digest
+
+
+def _replay_with_a_bumped_lock_tag(trace_path, held):
+    """The main activity's LOCK event becomes an AWAIT_SIGNALED, so the gate
+    inside ``acquire`` raises."""
+    def program():
+        held[:] = [RRLock()]
+        with held[0]:
+            pass
+
+    record_run(program, trace_path)
+    rewrite_trace(trace_path, lambda _, events: [
+        TraceEvent(EventType.AWAIT_SIGNALED, e.data) if e.event_type == EventType.LOCK else e
+        for e in events])
+    with pytest.raises(ReplayTypeMismatch):
+        replay_run(program, trace_path)
+
+
+def _abort_a_parked_acquire(trace_path, held):
+    """A thread parks in ``acquire`` behind the main activity, which then
+    fails the run; the parked wait raises the abort at its next tick,
+    after the run has ended."""
+    waiters = []
+
+    def program():
+        lock = RRLock()
+        held[:] = [lock]
+        lock.acquire()
+        waiters.append(spawn_thread(lock.acquire))
+        _await(lambda: lock._monitor.parked)
+        raise RuntimeError("main failed")
+
+    with pytest.raises(RuntimeError, match="main failed"):
+        passive_run(program)
+    _await(lambda: waiters[0].done)
+
+
+def _release_a_lock_not_held(trace_path, held):
+    def program():
+        held[:] = [RRLock()]
+        held[0].release()
+
+    with pytest.raises(NotOwner):
+        passive_run(program)
+
+
+@pytest.mark.parametrize("fail", [
+    _replay_with_a_bumped_lock_tag, _abort_a_parked_acquire, _release_a_lock_not_held,
+], ids=["mismatch", "abort", "not-owner"])
+def test_a_failing_acquire_or_release_leaves_the_entity_lock_free(trace_path, fail):
+    """``acquire`` and ``release`` release the entity lock however they
+    leave, or every later operation on the lock would block for ever.
+    Another thread must then be able to take it; that thread starts before
+    the run, so that no thread of the run can share its ident, which an
+    RLock would take for its owner's."""
+    held, taken = [], []
+    asked = threading.Event()
+
+    def probe():
+        asked.wait(10)
+        entity_lock = held[0]._lock
+        taken.append(entity_lock.acquire(blocking=False))
+        if taken[0]:
+            entity_lock.release()
+
+    prober = threading.Thread(target=probe)
+    prober.start()
+    try:
+        fail(trace_path, held)
+    finally:
+        asked.set()
+        prober.join(5)
+    assert not prober.is_alive()
+    assert len(held) == 1 and taken == [True]

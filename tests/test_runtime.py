@@ -4,6 +4,7 @@ import random
 import re
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from cmrr.activities import Activity, ActivityKind
 from cmrr.errors import ReplayLeftoverEvents, UsageError
 from cmrr.tracefile import TraceSink, parse_trace_bytes
 from conftest import record_run, replay_run
+from test_primitives import SMALL_PARAMS
 
 
 def _lock_rounds(rounds):
@@ -205,6 +207,32 @@ def test_perturbation_sequence_is_seed_deterministic(monkeypatch):
     for _ in range(10):
         point()
     assert slept == expected_delays(37)
+
+
+def test_perturbation_points_follow_the_recorded_events(tmp_path, monkeypatch):
+    """A plan perturbs an activity once per traced interaction, in every
+    mode: in the lock, STM and channel philosophers, each activity reaches
+    ``perturb_point`` as often in passive, record and replay as it has
+    recorded events, and every benchmark's replay reaches it as often, per
+    activity, as its recording did."""
+    calls = Counter()
+    monkeypatch.setattr(Activity, "perturb_point", lambda self: calls.update((self.id,)))
+    assert sorted(SMALL_PARAMS) == sorted(bench.REGISTRY)
+    for name, params in SMALL_PARAMS.items():
+        for strategy in ("sender", "receiver"):
+            path = str(tmp_path / f"{name}-{strategy}.trc")
+            per_mode = {}
+            for mode in ("passive", "record", "replay"):
+                calls.clear()
+                bench.run_benchmark(name, mode, strategy=strategy, trace_path=path,
+                                    params=params, watchdog_seconds=5)
+                per_mode[mode] = Counter(calls)
+            assert per_mode["replay"] == per_mode["record"], (name, strategy)
+            if name.startswith("philosophers-"):
+                events = +Counter({activity_id: len(queue) for activity_id, queue
+                                   in parse_trace(path).queues.items()})
+                for mode, counted in per_mode.items():
+                    assert counted == events, (name, strategy, mode)
 
 
 def test_sink_failure_on_a_threads_last_flush_fails_the_run():
