@@ -43,26 +43,18 @@ class ActivityKind(Enum):
 _ID_BITS = 64
 
 
-def _counter_nibbles(counter: int) -> list[int]:
-    if counter < 0:
-        raise ValueError("spawn counter must be non-negative")
-    chunks = []
-    while True:
-        chunks.append(counter & 0x7)
-        counter >>= 3
-        if counter == 0:
-            break
-    nibbles = [(0x8 | c) for c in chunks[:-1]] + [chunks[-1]]
-    return nibbles
-
-
 def child_activity_id(parent_id: int, counter: int) -> int:
     """The id of the ``counter``-th child spawned by activity ``parent_id``."""
+    if counter < 0:
+        raise ValueError("spawn counter must be non-negative")
     n = parent_id + 1
     length = n.bit_length() - 1
     code = n - (1 << length)
-    for nibble in _counter_nibbles(counter):
-        code = (code << 4) | nibble
+    more = True
+    while more:  # 3-bit groups, least significant first; all but the last continue
+        more = counter > 0x7
+        code = code << 4 | more << 3 | counter & 0x7
+        counter >>= 3
         length += 4
     if length >= _ID_BITS:
         raise OverflowError(

@@ -417,7 +417,7 @@ class Promise(VersionedEntity):
             self._resolved = True
             self._value = value
             pending, self._pending = self._pending, []
-            if self._monitor.parked:
+            if self._monitor._waiters:
                 self._monitor.notify_all()
         for target, msg in pending:
             self._forward(target, msg, acting)

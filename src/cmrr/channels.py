@@ -107,10 +107,10 @@ class Channel(VersionedEntity):
             for word in (reader_id, CHANNEL_READ, self.version):
                 self._log.insert(-3, word)
             increment_version(self)
-        elif self._monitor.parked:
+        elif self._monitor._waiters:
             self._monitor.notify_all()
         claims = self._claims
-        if claims.parked and (not claims.due or self.version in claims.due):
+        if claims._waiters and (not claims.due or self.version in claims.due):
             claims.notify_all()
 
     def write(self, value: Any) -> None:

@@ -27,13 +27,10 @@ EXIT_DIVERGENCE = 3
 
 
 def _parse_params(pairs: list[str]) -> dict:
-    params = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--params expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        params[key] = value
-    return params
+    return dict(pair.split("=", 1) for pair in pairs)
 
 
 def _cmd_run(args) -> int:
@@ -71,12 +68,9 @@ def _cmd_dump(args) -> int:
 
 def _cmd_stats(args) -> int:
     trace = parse_trace(args.trace)
-    per_activity: dict[int, Counter] = {}
-    totals: Counter = Counter()
-    for activity_id, queue in trace.queues.items():
-        counts = Counter(ev.event_type for ev in queue.events)
-        per_activity[activity_id] = counts
-        totals.update(counts)
+    per_activity = {activity_id: Counter(ev.event_type for ev in queue.events)
+                    for activity_id, queue in trace.queues.items()}
+    totals = sum(per_activity.values(), Counter())
     event_total = sum(totals.values())
     framing = HEADER_SIZE + CHUNK_HEADER_SIZE * trace.chunk_count
     print(f"file {args.trace}")

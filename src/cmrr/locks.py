@@ -29,10 +29,16 @@ waiting activities themselves. A recorded signal then passes the
 reacquisition version to ``record_interaction``, which checks it against
 the trace as it does every event the program computes.
 
+A condition wait whose park raises (an abort, a replay error, a
+``KeyboardInterrupt``) leaves the lock unowned and withdraws from both
+queues, waking the lock's waiters if it headed the implicit queue; the
+enclosing ``with lock:`` then lets that error pass instead of raising
+``NotOwner`` over it.
+
 Nearly every acquisition is uncontended, so ``acquire`` and ``release``
-enter the entity lock with ``acquire()`` and ``try``/``finally``, cheaper
-than ``with``, and ``acquire`` calls ``delay_interaction`` with no helper
-in between.
+enter the entity lock, a plain ``threading.Lock``, with ``acquire()`` and
+``try``/``finally``, cheaper than ``with``, and ``acquire`` calls
+``delay_interaction`` with no helper in between.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class RRLock(VersionedEntity):
             self._depth -= 1
             if self._depth == 0:
                 self._owner = None
-                if self._monitor.parked:
+                if self._monitor._waiters:
                     self._monitor.notify_all()
         finally:
             lock.release()
@@ -128,9 +134,11 @@ class RRLock(VersionedEntity):
         self.acquire()
         return self
 
-    def __exit__(self, *exc_info):
-        self.release()
-        return False
+    def __exit__(self, exc_type, exc, tb):
+        # A condition wait that raised has left the lock released: let its
+        # error pass rather than mask it with ``NotOwner``.
+        if exc_type is None or self._owner is current_activity():
+            self.release()
 
     # -- internals shared with RRCondition -------------------------------------
 
@@ -141,7 +149,7 @@ class RRLock(VersionedEntity):
         depth = self._depth
         self._owner = None
         self._depth = 0
-        if self._monitor.parked:
+        if self._monitor._waiters:
             self._monitor.notify_all()
         return depth
 
@@ -211,23 +219,35 @@ class RRCondition:
                 return False
             self._wait_queue.append(act)
             signaled = True
-            if timeout is not None and not replayed:
-                # The only wait bounded by wall time. An activity that no
-                # signal has moved out of the wait queue by the deadline
-                # withdraws and rejoins as a timed-out reacquirer,
-                # atomically because signals move waiters only under this
-                # monitor.
-                deadline = time.monotonic() + timeout
-                while act in self._wait_queue:
-                    remaining = deadline - time.monotonic()
-                    if not remaining > 0:  # also times out on nan
-                        self._wait_queue.remove(act)
-                        lock._implicit_queue.append(act)
-                        signaled = False
-                        break
-                    ex.check_abort()
-                    lock._monitor.wait(min(WAIT_TICK, remaining))
-            lock._reacquire_implicit(act, depth)
+            try:
+                if timeout is not None and not replayed:
+                    # The only wait bounded by wall time. An activity that no
+                    # signal has moved out of the wait queue by the deadline
+                    # withdraws and rejoins as a timed-out reacquirer,
+                    # atomically because signals move waiters only under this
+                    # monitor.
+                    deadline = time.monotonic() + timeout
+                    while act in self._wait_queue:
+                        remaining = deadline - time.monotonic()
+                        if not remaining > 0:  # also times out on nan
+                            self._wait_queue.remove(act)
+                            lock._implicit_queue.append(act)
+                            signaled = False
+                            break
+                        ex.check_abort()
+                        lock._monitor.wait(min(WAIT_TICK, remaining))
+                lock._reacquire_implicit(act, depth)
+            except BaseException:
+                # The park raised: leave both queues, the lock unowned, and
+                # wake the lock's waiters if the next reacquirer changed.
+                implicit = lock._implicit_queue
+                headed = implicit and implicit[0] is act
+                for queue in (self._wait_queue, implicit):
+                    if act in queue:
+                        queue.remove(act)
+                if headed and lock._monitor._waiters:
+                    lock._monitor.notify_all()
+                raise
             if timeout is not None:
                 record_interaction(act, AWAIT_SIGNALED if signaled else AWAIT_TIMEOUT,
                                    lock.version, entity=lock)
@@ -257,5 +277,5 @@ class RRCondition:
                 return
             for _ in range(len(waiters) if every else 1):
                 lock._implicit_queue.append(waiters.popleft())
-            if lock._monitor.parked:
+            if lock._monitor._waiters:
                 lock._monitor.notify_all()

@@ -104,10 +104,6 @@ class RunResult:
 DIGEST_SLICE = 512
 
 
-def _default_pool_size() -> int:
-    return max(4, os.cpu_count() or 1)
-
-
 class Execution:
     """One program execution under a fixed mode and actor strategy."""
 
@@ -187,7 +183,7 @@ class Execution:
                     raise UsageError(f"unknown sink kind {sink!r}")
                 self.sink.start(strategy_to_flags(self.strategy))
 
-        self.actor_pool = ActorPool(self, pool_size or _default_pool_size())
+        self.actor_pool = ActorPool(self, pool_size or max(4, os.cpu_count() or 1))
         self.commit_point = CommitPoint(self)
 
     # -- bookkeeping ----------------------------------------------------------
@@ -262,7 +258,7 @@ class Execution:
         parked in ``wait_live``; a count up wakes nobody."""
         with self.live_lock:
             self.live += delta
-            if delta < 0 and self.live_monitor.parked:
+            if delta < 0 and self.live_monitor._waiters:
                 self.live_monitor.notify_all()
 
     def wait_live(self, predicate: Callable[[], bool]) -> None:
@@ -279,8 +275,11 @@ class Execution:
 
         Then waits in one ``watchdog_wait`` until no thread activity, joined
         or not, is alive and no actor has mail or a queued or running
-        slice; flushes and closes the trace, verifies full trace consumption
-        in replay, and returns outputs plus the behavior digest.
+        slice, and, since an abort ends that wait at once, joins every
+        thread activity's thread within one watchdog interval; a failed
+        run's error names those still alive then in a note. Then flushes
+        and closes the trace, verifies full trace consumption in replay,
+        and returns outputs plus the behavior digest.
         """
         if self._ran:
             raise UsageError("an Execution object runs exactly once")
@@ -299,6 +298,15 @@ class Execution:
             self.wait_live(lambda: not self.live)
         except BaseException as exc:  # noqa: BLE001
             self.abort(exc)
+        # After an abort, threads may still run or sit parked until their
+        # next wait tick: join them all within one watchdog interval.
+        deadline = time.monotonic() + self.watchdog_seconds
+        with self._lock:
+            threads = [act._thread for act in self.activities.values()
+                       if isinstance(act, ThreadActivity) and act._thread.ident]
+        for thread in threads:  # a started thread, named after its activity
+            thread.join(max(0.0, deadline - time.monotonic()))
+        alive = [thread.name for thread in threads if thread.is_alive()]
         self.actor_pool.shutdown()
 
         try:
@@ -312,6 +320,10 @@ class Execution:
                 self.sink.close()
 
         if self._abort_exc is not None:
+            if alive:
+                self._abort_exc.add_note(
+                    f"thread activities still alive {self.watchdog_seconds:g}s after the "
+                    f"run failed: {', '.join(alive)}")
             raise self._abort_exc
 
         if self.mode is ExecutionMode.REPLAY:

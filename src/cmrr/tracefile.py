@@ -53,12 +53,15 @@ def write_header(fh: BinaryIO, strategy_flags: int) -> None:
 
 
 def write_chunk(fh: BinaryIO, activity_id: int, payload: bytes) -> None:
+    """Write one chunk, its header and payload, in one ``write``; a short
+    write raises ``OSError``."""
     if len(payload) % EVENT_SIZE:
         raise TraceFormatError(
             f"chunk payload of {len(payload)} octets is not a multiple of {EVENT_SIZE}"
         )
-    fh.write(_CHUNK_STRUCT.pack(activity_id, len(payload)))
-    fh.write(payload)
+    chunk = _CHUNK_STRUCT.pack(activity_id, len(payload)) + payload
+    if fh.write(chunk) != len(chunk):
+        raise OSError(f"short write of a {len(chunk)}-octet chunk")
 
 
 def write_trace(path: str, strategy_flags: int,
@@ -185,16 +188,19 @@ class DiscardSink(TraceSink):
 class FileSink(TraceSink):
     """Appends chunks to a trace file synchronously, in the flushing activity.
 
-    The header goes out at ``start``, before any chunk, so a crash mid-run
-    still leaves a parseable prefix. Chunk order in the file is hand-off
-    order, which is irrelevant to parsing (queues are per-activity). The
-    first write error stops further writes and is raised by ``close``, at
+    The file is unbuffered. The header goes out at ``start``, in one
+    system call, and each chunk, its header and payload, in one more, so a
+    process killed mid-run leaves the header and whole chunks, a file that
+    ``parse_trace`` reads; only the events still in record buffers are
+    lost. Chunk order in the file is hand-off order, which is irrelevant
+    to parsing (queues are per-activity). The first write error, a short
+    write included, stops further writes and is raised by ``close``, at
     the end of the run: raised in the flushing activity, an actor handler
     would swallow it.
     """
 
     def __init__(self, path: str):
-        self._fh = open(path, "wb")
+        self._fh = open(path, "wb", buffering=0)
         self._lock = threading.Lock()
         self._error: OSError | None = None
         self.chunks_written = 0

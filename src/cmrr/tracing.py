@@ -214,16 +214,18 @@ class ReplayQueue:
 
 
 class Monitor(threading.Condition):
-    """Condition whose ``wait``, ``notify`` and ``notify_all`` are its own,
-    built on ``Condition``'s ``_waiters``, ``_release_save`` and
-    ``_acquire_restore``: one Python frame per park and no ownership
-    checks, so the caller must hold the lock. ``notify_all`` pops its
-    waiters. A timeout of 0 or less returns ``False`` at once, without
-    releasing the lock.
+    """Condition whose ``wait`` and ``notify_all`` are its own, built on
+    ``Condition``'s ``_waiters`` alone: one Python frame per park and no
+    ownership checks, so the caller must hold the lock, once. A wait
+    releases and retakes it with its plain ``release`` and ``acquire``.
+    ``notify_all`` pops its waiters. Every wait is timed; a timeout of 0
+    or less returns ``False`` at once, without releasing the lock.
 
-    ``parked`` counts the threads in ``wait``. It changes only under the
-    lock, so a waker holding it may skip ``notify_all`` when it reads 0:
-    any waiter not counted has yet to test its predicate.
+    ``_waiters`` holds the threads parked in ``wait`` and not yet woken.
+    A waiter files itself under the lock, before it releases it, so a waker
+    holding the lock may skip ``notify_all`` when it finds ``_waiters``
+    empty: any thread not filed has yet to test its predicate, and one
+    already woken, or timed out, tests it again once it has the lock.
 
     ``due`` holds the recorded versions that replayed gates parked on this
     monitor await, and nothing else: a gate whose turn has come takes it
@@ -232,35 +234,23 @@ class Monitor(threading.Condition):
 
     def __init__(self, lock):
         super().__init__(lock)
-        self.parked = 0
         self.due: list[int] = []
 
-    def wait(self, timeout=None):
-        if timeout is not None and not timeout > 0:
+    def wait(self, timeout):
+        if not timeout > 0:
             return False
         waiter = _allocate_lock()
         waiter.acquire()
         self._waiters.append(waiter)
-        self.parked += 1
-        saved = self._release_save()
+        self.release()
         gotit = False
         try:
-            gotit = waiter.acquire(True, -1 if timeout is None else timeout)
+            gotit = waiter.acquire(True, timeout)
             return gotit
         finally:
-            self._acquire_restore(saved)
-            self.parked -= 1
-            if not gotit:
-                try:
-                    self._waiters.remove(waiter)
-                except ValueError:  # notified after its timeout
-                    pass
-
-    def notify(self, n=1):
-        waiters = self._waiters
-        while waiters and n > 0:
-            waiters.popleft().release()
-            n -= 1
+            self.acquire()
+            if not gotit and waiter in self._waiters:  # else notified after its timeout
+                self._waiters.remove(waiter)
 
     def notify_all(self):
         waiters = self._waiters
@@ -272,19 +262,20 @@ class VersionedEntity:
     """Passive entity carrying a monotone version counter.
 
     The counter orders all nondeterministic interactions with the entity.
-    Each entity owns one lock, the RLock ``_lock``, and one monitor over
-    it, ``_monitor``; operations mutate the version only while holding the
+    Each entity owns one lock, ``_lock``, and one monitor over it,
+    ``_monitor``; operations mutate the version only while holding the
     lock, and waiters for the entity park on the monitor, which
-    ``increment_version`` wakes. An entity may add further ``Monitor``s
-    over the same lock, one per kind of waiter, so that a state change
-    wakes only the waiters it can release; a channel parks its claiming
-    writers apart from the waiting sides of its rendezvous. The entity
-    also keeps an in-memory log of the interactions it saw (recorded in
-    recording mode, consumed in replay mode), which feeds run digests and
-    version-completeness checks: ``_log`` holds three words per
-    interaction, its activity's id, type and data, in the order a digest
-    hashes: as they happen, except that a channel logs a rendezvous's
-    read when it completes, before the write of its claim.
+    ``increment_version`` wakes. The lock is a plain ``threading.Lock``:
+    no model operation enters it while it already holds it. An entity may
+    add further ``Monitor``s over the same lock, one per kind of waiter,
+    so that a state change wakes only the waiters it can release; a
+    channel parks its claiming writers apart from the waiting sides of its
+    rendezvous. The entity also keeps an in-memory log of the interactions
+    it saw (recorded in recording mode, consumed in replay mode), which
+    feeds run digests and version-completeness checks: ``_log`` holds three
+    words per interaction, its activity's id, type and data, in the order
+    a digest hashes: as they happen, except that a channel logs a
+    rendezvous's read when it completes, before the write of its claim.
     """
 
     kind = "entity"
@@ -303,9 +294,9 @@ class VersionedEntity:
         # Entering ``_lock`` holds the monitor without the Python-level
         # context manager of ``Condition``. Model operations enter it with
         # ``with self._lock``, except ``RRLock.acquire`` and ``release``,
-        # the hottest: an RLock's ``acquire()`` and ``try``/``finally:
+        # the hottest: a lock's ``acquire()`` and ``try``/``finally:
         # release()`` cost about half its ``with``.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._monitor = Monitor(self._lock)
         self._log = array("Q")
         execution.register_entity(self)
@@ -374,7 +365,7 @@ def increment_version(entity: VersionedEntity) -> int:
         return entity.version
     entity.version += 1
     monitor = entity._monitor
-    if monitor.parked:
+    if monitor._waiters:
         monitor.notify_all()
     ex.progress += 1
     return entity.version

@@ -469,8 +469,8 @@ def _replay_with_a_bumped_lock_tag(trace_path, held):
 
 def _abort_a_parked_acquire(trace_path, held):
     """A thread parks in ``acquire`` behind the main activity, which then
-    fails the run; the parked wait raises the abort at its next tick,
-    after the run has ended."""
+    fails the run; the parked wait raises the abort at its next tick, and
+    the run waits for that before it raises."""
     waiters = []
 
     def program():
@@ -478,12 +478,12 @@ def _abort_a_parked_acquire(trace_path, held):
         held[:] = [lock]
         lock.acquire()
         waiters.append(spawn_thread(lock.acquire))
-        _await(lambda: lock._monitor.parked)
+        _await(lambda: lock._monitor._waiters)
         raise RuntimeError("main failed")
 
     with pytest.raises(RuntimeError, match="main failed"):
         passive_run(program)
-    _await(lambda: waiters[0].done)
+    assert waiters[0].done
 
 
 def _release_a_lock_not_held(trace_path, held):
@@ -501,9 +501,8 @@ def _release_a_lock_not_held(trace_path, held):
 def test_a_failing_acquire_or_release_leaves_the_entity_lock_free(trace_path, fail):
     """``acquire`` and ``release`` release the entity lock however they
     leave, or every later operation on the lock would block for ever.
-    Another thread must then be able to take it; that thread starts before
-    the run, so that no thread of the run can share its ident, which an
-    RLock would take for its owner's."""
+    Another thread, started before the run, must then be able to take
+    it."""
     held, taken = [], []
     asked = threading.Event()
 
@@ -523,3 +522,76 @@ def test_a_failing_acquire_or_release_leaves_the_entity_lock_free(trace_path, fa
         prober.join(5)
     assert not prober.is_alive()
     assert len(held) == 1 and taken == [True]
+
+
+class _Interrupted(BaseException):
+    """Raised from a condition wait's park, as a ``KeyboardInterrupt`` is."""
+
+
+def _interrupted_wait_program(held, signal_first):
+    """Two threads wait on a condition and each one's park raises
+    ``_Interrupted``: at once, or, with ``signal_first``, once the main
+    activity, holding the lock, has signaled them both, so that the first
+    to withdraw leaves the other at the head of the reacquisition queue.
+    The main activity then joins them."""
+    def program():
+        lock = RRLock()
+        cond = RRCondition(lock)
+        held[:] = [lock, cond]
+
+        def waiter():
+            with lock:
+                cond.wait()
+
+        children = [spawn_thread(waiter) for _ in range(2)]
+        if signal_first:
+            _await(lambda: len(cond._wait_queue) == 2)
+            with lock:
+                cond.signal_all()
+                _await(lambda: not lock._implicit_queue)
+        for child in children:
+            child.join()
+
+    return program
+
+
+@pytest.mark.parametrize("signal_first", [False, True], ids=["waiting", "signaled"])
+@pytest.mark.parametrize("mode", ["passive", "record", "replay"])
+def test_an_error_raised_in_a_condition_wait_reaches_run_as_itself(
+        trace_path, monkeypatch, mode, signal_first):
+    """The park's own error, not ``NotOwner`` from the enclosing ``with``,
+    ends the run, and the waiters leave both queues and the lock free."""
+    from cmrr import locks
+
+    real_wait = locks.watchdog_wait
+
+    def interrupting_wait(monitor, may_go, execution):
+        def interrupted():
+            if may_go():
+                return True
+            if signal_first:
+                # Only the head raises, once the other waiter, if still
+                # queued, is parked again: its withdrawal must wake that one.
+                implicit = held[0]._implicit_queue
+                if not (implicit and implicit[0] is locks.current_activity()
+                        and (len(implicit) == 1 or monitor._waiters)):
+                    return False
+            raise _Interrupted("interrupted while parked")
+        if interrupted():
+            return
+        real_wait(monitor, interrupted, execution)
+
+    held = []
+    program = _interrupted_wait_program(held, signal_first)
+    monkeypatch.setattr(locks, "watchdog_wait", interrupting_wait)
+    runs = {"passive": lambda: passive_run(program),
+            "record": lambda: record_run(program, trace_path)}
+    if mode == "replay":
+        with pytest.raises(_Interrupted):
+            runs["record"]()
+        runs["replay"] = lambda: replay_run(program, trace_path)
+    with pytest.raises(_Interrupted, match="interrupted while parked"):
+        runs[mode]()
+    lock, cond = held
+    assert lock._owner is None
+    assert not cond._wait_queue and not lock._implicit_queue

@@ -1,9 +1,10 @@
-"""``tracing.Monitor``: its own wait and notify, over an RLock or a Lock.
+"""``tracing.Monitor``: its own wait and notify, over a Lock or an RLock
+held once.
 
-``Monitor`` reimplements ``Condition.wait``, ``notify`` and
-``notify_all`` on ``Condition``'s private ``_waiters``,
-``_release_save`` and ``_acquire_restore``, so one test guards that the
-interpreter still provides them.
+``Monitor`` reimplements ``Condition.wait`` and ``notify_all`` on
+``Condition``'s private ``_waiters``, which also tells a waker whether
+anyone is parked, and keeps ``Condition.notify``, so one test guards that
+the interpreter still provides ``_waiters``.
 """
 
 import threading
@@ -19,10 +20,8 @@ from cmrr.tracing import Monitor
 def test_condition_still_has_what_monitor_builds_on():
     for lock in (threading.Lock(), threading.RLock()):
         cond = threading.Condition(lock)
-        for name in ("_waiters", "_release_save", "_acquire_restore"):
-            assert hasattr(cond, name), (
-                f"threading.Condition has no {name}; tracing.Monitor needs it")
-        assert isinstance(cond._waiters, deque), "Condition._waiters is not a deque"
+        assert isinstance(getattr(cond, "_waiters", None), deque), (
+            "threading.Condition has no deque _waiters; tracing.Monitor needs it")
 
 
 def _wait_until(predicate):
@@ -45,7 +44,7 @@ def _park_in_order(monitor, lock, count):
     for i in range(count):
         threads.append(threading.Thread(target=waiter, args=(i,)))
         threads[-1].start()
-        _wait_until(lambda: monitor.parked == i + 1)
+        _wait_until(lambda: len(monitor._waiters) == i + 1)
     return threads, woke
 
 
@@ -59,7 +58,7 @@ def test_notify_wakes_the_longest_waiting_and_notify_all_wakes_all(lock_type):
         assert len(monitor._waiters) == 2
     _wait_until(lambda: len(woke) == 2)
     assert sorted(woke) == [(0, True), (1, True)]
-    assert monitor.parked == 2
+    assert len(monitor._waiters) == 2
     with lock:
         monitor.notify()
     _wait_until(lambda: len(woke) == 3)
@@ -70,7 +69,7 @@ def test_notify_wakes_the_longest_waiting_and_notify_all_wakes_all(lock_type):
     for t in threads:
         t.join(5)
     assert sorted(woke) == [(i, True) for i in range(4)]
-    assert monitor.parked == 0
+    assert not monitor._waiters
 
 
 def test_timed_out_wait_returns_false_and_leaves_nothing_behind():
@@ -81,7 +80,6 @@ def test_timed_out_wait_returns_false_and_leaves_nothing_behind():
         assert monitor.wait(0.02) is False
         assert time.monotonic() - start >= 0.015
         assert not monitor._waiters
-        assert monitor.parked == 0
 
 
 @pytest.mark.parametrize("timeout", [0, -1.0])
@@ -93,46 +91,6 @@ def test_wait_without_time_left_returns_false_at_once(timeout):
         assert monitor.wait(timeout) is False
         assert time.monotonic() - start < 0.05
         assert not monitor._waiters
-        assert monitor.parked == 0
-
-
-def test_wait_releases_a_twice_held_rlock_and_restores_its_depth():
-    lock = threading.RLock()
-    monitor = Monitor(lock)
-    result = []
-
-    def waiter():
-        with lock:
-            with lock:
-                result.append(monitor.wait(5))
-            # One release left the lock held once: another thread still
-            # cannot take it.
-            result.append(_taken_elsewhere(lock))
-        result.append(_taken_elsewhere(lock))
-
-    t = threading.Thread(target=waiter)
-    t.start()
-    _wait_until(lambda: monitor.parked == 1)
-    # The waiter holds the lock twice, yet this thread may take it.
-    with lock:
-        monitor.notify()
-    t.join(5)
-    assert result == [True, False, True]
-
-
-def _taken_elsewhere(lock) -> bool:
-    """Whether another thread can take ``lock`` right now."""
-    got = []
-
-    def attempt():
-        got.append(lock.acquire(blocking=False))
-        if got[0]:
-            lock.release()
-
-    t = threading.Thread(target=attempt)
-    t.start()
-    t.join(5)
-    return got[0]
 
 
 def test_run_end_monitor_waits_over_its_plain_lock():
@@ -147,6 +105,6 @@ def test_run_end_monitor_waits_over_its_plain_lock():
     for t in threads:
         t.join(5)
     assert sorted(woke) == [(0, True), (1, True)]
-    assert monitor.parked == 0
+    assert not monitor._waiters
     assert lock.acquire(blocking=False)
     lock.release()

@@ -1,5 +1,6 @@
 """The three framework primitives and the per-activity buffers/queues."""
 
+import threading
 import time
 
 import pytest
@@ -444,24 +445,56 @@ SMALL_PARAMS = {
 }
 
 
+class _OwnedLock:
+    """A plain lock that remembers the ident of the thread holding it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.owner = None
+
+    def acquire(self, blocking=True, timeout=-1):
+        if not self._lock.acquire(blocking, timeout):
+            return False
+        self.owner = threading.get_ident()
+        return True
+
+    def release(self):
+        self.owner = None
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
 def test_substrate_is_called_with_the_entity_monitor_held(tmp_path, monkeypatch):
     """``increment_version`` and ``delay_interaction`` do not enter the
     entity monitor themselves: every model call site must hold it. A call
-    without it races silently unless someone is parked, so check the lock
-    at each call of every benchmark, recorded and replayed."""
+    without it races silently unless someone is parked, so check at each
+    call of every benchmark, recorded and replayed, that the calling thread
+    holds the entity lock. Every entity's lock, and each monitor over it,
+    is built over an ``_OwnedLock`` for this."""
     from cmrr import tracing
 
     called, unheld = set(), []
+    entity_init = VersionedEntity.__init__
+
+    def owned_lock_init(self, *args):
+        entity_init(self, *args)
+        self._lock = _OwnedLock()  # a channel's ``_claims`` is built after this
+        self._monitor = tracing.Monitor(self._lock)
 
     def held(fn, entity_arg):
         def checked(*args):
             entity = args[entity_arg]
             called.add(fn.__name__)
-            if not entity._lock._is_owned():
+            if entity._lock.owner != threading.get_ident():
                 unheld.append((fn.__name__, entity.kind))
             return fn(*args)
         return checked
 
+    monkeypatch.setattr(VersionedEntity, "__init__", owned_lock_init)
     patch_bindings(monkeypatch, tracing.increment_version, held(tracing.increment_version, 0))
     patch_bindings(monkeypatch, tracing.delay_interaction, held(tracing.delay_interaction, 1))
     assert sorted(SMALL_PARAMS) == sorted(bench.REGISTRY)

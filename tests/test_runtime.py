@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from cmrr import (
+    Channel,
     EventType,
     Execution,
     ExecutionMode,
@@ -18,6 +19,7 @@ from cmrr import (
     RRLock,
     current_activity,
     parse_trace,
+    spawn_process,
     spawn_thread,
 )
 from cmrr import bench, tracefile, tracing
@@ -347,3 +349,44 @@ def test_version_completeness_report_names_each_violation(trace_path, entity, ed
     report = ex.version_completeness_report()
     assert len(report) == 1
     assert re.fullmatch(problem, report[0]), report
+
+
+def _await(predicate):
+    deadline = time.monotonic() + 5
+    while not predicate():
+        assert time.monotonic() < deadline, "the program did not get there"
+        time.sleep(0.001)
+
+
+def test_a_failed_run_raises_only_once_its_threads_have_stopped():
+    """A process parked on a channel that nothing writes sees the abort
+    only at its next wait tick; ``run`` waits for it before it raises."""
+    reader = []
+
+    def program():
+        ch = Channel()
+        reader.append(spawn_process(ch.read))
+        _await(lambda: ch._readers)
+        raise RuntimeError("main failed")
+
+    with pytest.raises(RuntimeError, match="main failed"):
+        Execution(ExecutionMode.PASSIVE).run(program)
+    assert reader[0].done
+
+
+def test_a_thread_alive_past_the_bound_is_named_in_a_note():
+    """A thread blocked outside cmrr never sees the abort: after one
+    watchdog interval ``run`` raises anyway, and says which thread lives."""
+    go = threading.Event()
+
+    def program():
+        spawn_thread(go.wait, 10, name="stuck")
+        raise RuntimeError("main failed")
+
+    try:
+        with pytest.raises(RuntimeError, match="main failed") as failed:
+            Execution(ExecutionMode.PASSIVE, watchdog_seconds=0.2).run(program)
+    finally:
+        go.set()
+    assert failed.value.__notes__ == [
+        "thread activities still alive 0.2s after the run failed: stuck"]

@@ -1,5 +1,9 @@
 import io
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -17,6 +21,9 @@ from cmrr.tracefile import (
     write_header,
     write_trace,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _events_bytes(events):
@@ -167,3 +174,85 @@ def test_parsed_columns_reencode_to_the_recorded_payloads(name):
     assert recorded.keys() == trace.queues.keys()
     for activity_id, queue in trace.queues.items():
         assert b"".join(map(pack_event, queue._types, queue._words)) == recorded[activity_id]
+
+
+def test_a_short_chunk_write_raises():
+    class ShortFile(io.BytesIO):
+        def write(self, data):
+            return super().write(data[:-1])
+
+    with pytest.raises(OSError, match="short write of a 21-octet chunk"):
+        write_chunk(ShortFile(), 1, _events_bytes([TraceEvent(EventType.LOCK, 0)]))
+
+
+# Two threads take two locks in opposite orders and hang for ever; the main
+# activity prints "hung" once both hold their first lock.
+_HUNG_RECORDING = """
+import sys, threading
+from cmrr import Execution, RRLock, spawn_thread
+
+def program():
+    first, second = RRLock(), RRLock()
+    both_held = threading.Barrier(3)
+
+    def take(a, b):
+        with a:
+            both_held.wait(10)
+            with b:
+                pass
+
+    spawn_thread(take, first, second)
+    spawn_thread(take, second, first)
+    both_held.wait(10)
+    print("hung", flush=True)
+
+Execution("record", trace_path=sys.argv[1]).run(program)
+"""
+
+
+def _start(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+
+
+def _kill(child):
+    running = child.poll() is None
+    child.kill()
+    child.wait(10)
+    child.stdout.close()
+    assert running, "the recording ended before it was killed"
+
+
+def test_a_killed_hung_recording_leaves_the_header(tmp_path):
+    """Every event is still in a record buffer, yet the file holds the
+    header, written through at the start of the run."""
+    path = tmp_path / "hung.trc"
+    child = _start(["-c", _HUNG_RECORDING, str(path)])
+    try:
+        assert child.stdout.readline() == "hung\n"
+        time.sleep(0.2)
+    finally:
+        _kill(child)
+    assert path.stat().st_size == HEADER_SIZE
+    assert parse_trace(str(path)).queues == {}
+
+
+def test_a_recording_killed_mid_run_leaves_whole_chunks(tmp_path):
+    """A recording of philosophers-locks, killed with SIGKILL at 0.5 s
+    (later only if it has not yet written a chunk), leaves a file that
+    parses: each chunk reached the file in one write."""
+    path = tmp_path / "killed.trc"
+    child = _start(["-m", "cmrr.cli", "run", "philosophers-locks", "--mode", "record",
+                    "--trace", str(path), "--params", "rounds=100000"])
+    try:
+        time.sleep(0.5)
+        deadline = time.monotonic() + 10
+        while not (path.exists() and path.stat().st_size > HEADER_SIZE):
+            assert time.monotonic() < deadline, "no chunk was written"
+            time.sleep(0.01)
+    finally:
+        _kill(child)
+    trace = parse_trace(str(path))
+    assert trace.chunk_count >= 1 and trace.file_size == path.stat().st_size

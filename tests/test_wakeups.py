@@ -1,15 +1,15 @@
 """Monitors skip a wake-up when nobody is parked, and never lose one.
 
 Every wake-up on an entity monitor, and on the execution's run-end
-monitor, is guarded by the monitor's ``parked`` count. These tests check
-both halves of that rule: an uncontended operation makes no
+monitor, is guarded by the monitor's waiter deque, ``_waiters``. These
+tests check both halves of that rule: an uncontended operation makes no
 ``notify_all`` call at all, and a thread parked in ``watchdog_wait`` is
 still woken at once, not by its next wait tick, by each kind of operation
 that can unblock it, and so are joins and the end of a run. A channel
 parks its claims apart from the waiting sides of its rendezvous, and a
 test checks that its waits seldom wake to a predicate that is still
 false. Over every benchmark, a model operation enters ``watchdog_wait``
-only to park, and leaves no parked count or awaited version behind.
+only to park, and leaves no parked waiter or awaited version behind.
 """
 
 import threading
@@ -65,7 +65,7 @@ def test_uncontended_operations_make_no_notify_calls(monkeypatch):
 
 def _wait_until_parked(monitor):
     deadline = time.monotonic() + 5
-    while not monitor.parked:
+    while not monitor._waiters:
         assert time.monotonic() < deadline, "nobody parked on the monitor"
         time.sleep(0.001)
 
@@ -212,9 +212,9 @@ def _late_writer_program(late_first):
     if late_first:
         go.set()
     for i in range(3):
-        # ``parked`` still counts a woken thread until it has the lock
-        # back; the condition's own waiter list drops it at the wake-up.
-        # So a wake in vain is seen before the next rendezvous.
+        # The claim leaves the waiter deque when woken and files itself
+        # again only once it has found its predicate false, so a wake in
+        # vain is seen before the next rendezvous.
         while late_first and not ch._claims._waiters:
             time.sleep(0.001)
         ch.write(i)
@@ -279,12 +279,12 @@ def _assert_nobody_parked(ex):
             assert not act._thread.is_alive()
     monitors = [(e.entity_id, m) for e in ex.entities for m in vars(e).values()
                 if isinstance(m, Monitor)]
-    assert [entity_id for entity_id, m in monitors if m.parked] == []
+    assert [entity_id for entity_id, m in monitors if m._waiters] == []
     # Nor may a replayed gate leave its awaited version filed.
     assert [entity_id for entity_id, m in monitors if m.due] == []
     # Nor may a channel keep a parked read that a later write could be handed.
     assert [e.entity_id for e in ex.entities if isinstance(e, Channel) and e._readers] == []
-    assert ex.live_monitor.parked == 0
+    assert not ex.live_monitor._waiters
 
 
 @pytest.mark.parametrize("name,params", [
