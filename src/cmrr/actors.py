@@ -140,16 +140,14 @@ class ActorActivity(Activity):
         """
         ex = self.execution
         sender_side = ex.strategy is SENDER_SIDE
-        recorded = sender_side and ex.mode is RECORD
-        if not recorded:  # else record_interaction perturbs
-            acting.perturb_point()
+        acting.perturb_point()
         with self._mailbox_lock:
             if sender_side and ex.mode is REPLAY:
                 # Non-blocking by design: attach the recorded version instead
                 # of delaying the send, so pool workers can always run.
                 queue = acting.replay_queue
                 key = queue.expect(MSG_SEND)
-                queue.advance()
+                queue._pos += 1  # advance(), without the call
                 # The version is trace input: a reused one would overwrite a
                 # pending message or never be drained, and one not above the
                 # sender's last holds a send order that no recording can.
@@ -165,17 +163,22 @@ class ActorActivity(Activity):
                         f"version {key}, after its send at version {last}"
                     )
                 self._arrived_from[acting.id] = key
-                # The mailbox clock moves as in a recorded send.
-                increment_version(self.mailbox_entity)
+                # The mailbox clock moves as in a recorded send, and the send
+                # counts as replay progress.
+                self.mailbox_entity.version += 1
+                ex.progress += 1
             elif ex.mode is REPLAY:  # receiver-side: the place of its receive
                 fifo = self._places.get((msg.sender_id, msg.promise_message_id))
                 key = fifo.popleft() if fifo else next(self._places[None])
             else:
                 key = self._next + len(self._mail)
-                if recorded:
-                    # The arrival index is the mailbox version here.
-                    record_interaction(acting, MSG_SEND, key)
-                    increment_version(self.mailbox_entity)
+                if sender_side and ex.mode is RECORD:
+                    # The arrival index is the mailbox version here. The drain
+                    # logs the send. Nothing parks on a mailbox's monitor and
+                    # only replay reads progress, so the bump is all that
+                    # ``increment_version`` would do.
+                    acting.buffer.put(MSG_SEND, key)
+                    self.mailbox_entity.version += 1
             if not (self._queued or self._mail):
                 # The actor goes live: it counts once while it has mail or
                 # a queued or running slice, not once per message.
@@ -246,9 +249,11 @@ class ActorActivity(Activity):
             budget -= len(batch)
             if log is not None:
                 # The sends traced the versions; note the processing order
-                # (== version order) for the run digest.
-                for key, msg in enumerate(batch, first):
-                    log.fromlist([msg.sender_id, MSG_SEND, key])
+                # (== version order) for the run digest, all in one write.
+                entries = [MSG_SEND] * (3 * len(batch))
+                entries[::3] = [msg.sender_id for msg in batch]
+                entries[2::3] = range(first, key)
+                log.fromlist(entries)
             for msg in batch:
                 if traces_senders:
                     # Receiver-side: trace who sent it, or in replay check

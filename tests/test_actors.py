@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from cmrr import (
     spawn_thread,
 )
 from cmrr.activities import child_activity_id
+from cmrr.actors import ActorActivity
+from cmrr.bench.actor_suite import counting
 from cmrr.bench.support import CompletionLatch
 from cmrr.errors import (
     AlreadyResolved,
@@ -803,6 +806,82 @@ def test_perturbation_reorders_racing_sends(strategy):
                        pool_size=1, perturb=PerturbationPlan(seed, prob=0.5))
         orders.add(ex.run(_racing_sends_program).outputs)
     assert len(orders) >= 2
+
+
+_FLOOD_PROGRAMS = pytest.mark.parametrize(
+    "program, args", [(_racing_sends_program, ()), (counting, ({"count": 200},))],
+    ids=["racing-sends", "counting-actors"])
+
+
+def _actors(ex):
+    return [act for act in ex.activities.values() if isinstance(act, ActorActivity)]
+
+
+@_FLOOD_PROGRAMS
+def test_a_drained_batch_logs_each_message_in_version_order(trace_path, program, args):
+    """The drain logs a batch's sends to the mailbox in one write: every
+    mailbox still logs ``(sender, MSG_SEND, v)`` for v = 0..version-1 in
+    order, the sender being the author of the message processed v-th, and
+    on the flooded mailbox each v's sender is the activity whose traced
+    send holds v."""
+    record_ex, _ = record_run(program, trace_path, *args, strategy="sender", pool_size=1)
+    replay_ex, _ = replay_run(program, trace_path, *args, pool_size=1)
+    trace = parse_trace(trace_path)
+    for ex in (record_ex, replay_ex):
+        for actor in _actors(ex):
+            entries = actor.mailbox_entity.log_entries()
+            assert len(entries) == actor.mailbox_entity.version
+            assert entries == [(sender, EventType.MSG_SEND, v)
+                               for v, (sender, _) in enumerate(actor.processed_log)]
+        # The flooded mailbox's senders send to no other actor, so each
+        # send in their traces went to it.
+        flood = max(_actors(ex), key=lambda actor: actor.mailbox_entity.version)
+        versions = {}
+        for sender, _, v in flood.mailbox_entity.log_entries():
+            versions.setdefault(sender, []).append(v)
+        assert versions == {sender: [data for event_type, data in trace.queues[sender]
+                                     if event_type == EventType.MSG_SEND]
+                            for sender in versions}
+
+
+@dataclass(frozen=True)
+class _CountingPlan(PerturbationPlan):
+    """Counts each activity's perturbation points in ``counts``; never delays."""
+
+    counts: Counter = field(default_factory=Counter, compare=False)
+
+    def point_for(self, activity_id):
+        counts = self.counts
+
+        def perturb_point():
+            counts[activity_id] += 1
+        return perturb_point
+
+
+@_FLOOD_PROGRAMS
+def test_a_send_is_one_perturbation_point_in_every_mode(trace_path, program, args):
+    """Every mode reaches the same perturbation points, one per send: a
+    sender-side send takes its point before the mailbox lock whether or
+    not it traces the send. Passive leaves the promise race untraced, so
+    there the gates of a promise store or resolve are no points."""
+    counts = {}
+    for mode in ("passive", "record", "replay"):
+        plan = _CountingPlan(0)
+        Execution(mode, strategy=None if mode == "replay" else "sender",
+                  trace_path=trace_path, pool_size=1, perturb=plan).run(program, *args)
+        counts[mode] = plan.counts
+    assert counts["replay"] == counts["record"]
+    trace = parse_trace(trace_path)
+    promise_gates = Counter(
+        activity_id for activity_id, queue in trace.queues.items() for event_type, _ in queue
+        if event_type in (EventType.PROMISE_MSG_STORE, EventType.PROMISE_RESOLVE))
+    # Main may find the actors done before it waits on the latch, taking
+    # fewer points than in the recording.
+    del counts["passive"][0], counts["record"][0]
+    assert counts["passive"] == counts["record"] - promise_gates
+    for activity_id, queue in trace.queues.items():
+        if {event_type for event_type, _ in queue} == {EventType.MSG_SEND}:
+            assert counts["passive"][activity_id] == len(queue)
 
 
 @pytest.mark.parametrize("seed", [None, 3], ids=["no-plan", "plan"])
