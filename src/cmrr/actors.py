@@ -147,7 +147,7 @@ class ActorActivity(Activity):
                 # of delaying the send, so pool workers can always run.
                 queue = acting.replay_queue
                 key = queue.expect(MSG_SEND)
-                queue._pos += 1  # advance(), without the call
+                queue._pos += 1  # consume the head that expect checked
                 # The version is trace input: a reused one would overwrite a
                 # pending message or never be drained, and one not above the
                 # sender's last holds a send order that no recording can.

@@ -12,7 +12,7 @@ its recorded rendezvous.
 A writer first claims the channel at the interaction gate, parked on
 ``_claims`` while another writer waits in the slot. In replay the
 recorded-version check joins that predicate in one wait;
-``Condition.wait`` releases the channel lock while waiting, so a
+``Monitor.wait`` releases the channel lock while waiting, so a
 not-yet-due operation still never holds the channel hostage.
 
 Each side of a rendezvous that arrives first files one ``_Rendezvous``

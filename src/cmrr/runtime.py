@@ -201,10 +201,7 @@ class Execution:
             activity.buffer = RecordBuffer(activity.id, self.sink)
         elif self.mode is ExecutionMode.REPLAY:
             queue = self._queues.get(activity.id)
-            if queue is None:
-                queue = ReplayQueue(activity.id)
-                self._queues[activity.id] = queue
-            activity.replay_queue = queue
+            activity.replay_queue = ReplayQueue(activity.id) if queue is None else queue
         if self.perturb is not None:
             activity.perturb_point = self.perturb.point_for(activity.id)
 

@@ -49,6 +49,7 @@ import threading
 import time
 from _thread import allocate_lock as _allocate_lock
 from array import array
+from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
@@ -161,10 +162,13 @@ class ReplayQueue:
     """Ordered per-activity event sequence with a consuming cursor.
 
     The events are two columns, as the chunk decoder parses them: ``_types``,
-    the type tags, and ``_words``, the data words. ``expect`` checks the
-    head's type and returns its data word, and ``advance`` consumes it,
-    strictly in recorded order; ``peek`` never consumes. Iterating yields
-    every raw ``(type, data)`` pair, consumed or not.
+    the type tags, and ``_words``, the data words. ``_pos`` indexes the head.
+    ``expect`` checks the head's type and returns its data word; whoever
+    checked it consumes it, strictly in recorded order, with
+    ``queue._pos += 1``: the gate, ``record_interaction`` and a
+    sender-side ``ActorActivity.enqueue``. ``peek`` never consumes.
+    ``len`` counts the events not yet consumed; iterating yields every raw
+    ``(type, data)`` pair, consumed or not.
     """
 
     def __init__(self, owner_id: int, types: Sequence[int] = (), words: Sequence[int] = ()):
@@ -180,10 +184,6 @@ class ReplayQueue:
         return zip(self._types, self._words)
 
     @property
-    def consumed(self) -> int:
-        return self._pos
-
-    @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The full recorded sequence, including consumed events."""
         return tuple(map(TraceEvent, self._types, self._words))
@@ -191,10 +191,6 @@ class ReplayQueue:
     def peek(self) -> Optional[tuple[int, int]]:
         pos = self._pos
         return (self._types[pos], self._words[pos]) if pos < len(self._types) else None
-
-    def advance(self) -> None:
-        """Consume the head that ``expect`` checked."""
-        self._pos += 1
 
     def expect(self, *event_types: int) -> int:
         """Verify the head's type is one of ``event_types`` and return its
@@ -213,13 +209,14 @@ class ReplayQueue:
         raise error(f"activity {self.owner_id}: expected {names}, {found}")
 
 
-class Monitor(threading.Condition):
-    """Condition whose ``wait`` and ``notify_all`` are its own, built on
-    ``Condition``'s ``_waiters`` alone: one Python frame per park and no
-    ownership checks, so the caller must hold the lock, once. A wait
-    releases and retakes it with its plain ``release`` and ``acquire``.
-    ``notify_all`` pops its waiters. Every wait is timed; a timeout of 0
-    or less returns ``False`` at once, without releasing the lock.
+class Monitor:
+    """Wait set over a lock that the caller holds once, a ``threading.Lock``
+    or an ``RLock``. Its surface is ``wait``, ``notify_all`` and ``due``,
+    with one Python frame per park and no ownership checks. A wait
+    releases and retakes the lock with its bound ``release`` and
+    ``acquire``. ``notify_all`` pops its waiters. Every wait is timed; a timeout of 0
+    or less returns ``False`` at once, without releasing the lock. Enter
+    the lock itself, never the monitor.
 
     ``_waiters`` holds the threads parked in ``wait`` and not yet woken.
     A waiter files itself under the lock, before it releases it, so a waker
@@ -232,8 +229,11 @@ class Monitor(threading.Condition):
     inline and files nothing, and only ``delay_interaction`` changes
     ``due``, under the lock."""
 
+    __slots__ = ("_acquire", "_release", "_waiters", "due")
+
     def __init__(self, lock):
-        super().__init__(lock)
+        self._acquire, self._release = lock.acquire, lock.release
+        self._waiters = deque()
         self.due: list[int] = []
 
     def wait(self, timeout):
@@ -242,13 +242,13 @@ class Monitor(threading.Condition):
         waiter = _allocate_lock()
         waiter.acquire()
         self._waiters.append(waiter)
-        self.release()
+        self._release()
         gotit = False
         try:
             gotit = waiter.acquire(True, timeout)
             return gotit
         finally:
-            self.acquire()
+            self._acquire()
             if not gotit and waiter in self._waiters:  # else notified after its timeout
                 self._waiters.remove(waiter)
 
@@ -291,11 +291,11 @@ class VersionedEntity:
             self.entity_id = (-1, next(execution.internal_entity_seq))
         self.execution = execution
         self.version = 0
-        # Entering ``_lock`` holds the monitor without the Python-level
-        # context manager of ``Condition``. Model operations enter it with
-        # ``with self._lock``, except ``RRLock.acquire`` and ``release``,
-        # the hottest: a lock's ``acquire()`` and ``try``/``finally:
-        # release()`` cost about half its ``with``.
+        # A ``Monitor`` has no context manager: entering ``_lock`` holds
+        # it. Model operations enter it with ``with self._lock``, except
+        # ``RRLock.acquire`` and ``release``, the hottest: a lock's
+        # ``acquire()`` and ``try``/``finally: release()`` cost about half
+        # its ``with``.
         self._lock = threading.Lock()
         self._monitor = Monitor(self._lock)
         self._log = array("Q")
@@ -345,7 +345,7 @@ def record_interaction(activity: "Activity", event_type: int, data: int,
             raise ReplayTypeMismatch(
                 f"activity {activity.id}: {describe((event_type, data))}{on}, "
                 f"trace holds {describe(queue.peek())}")
-        queue._pos += 1  # advance(), without the call
+        queue._pos += 1  # consume the head that expect checked
         ex.progress += 1
     else:
         return
@@ -423,7 +423,7 @@ def delay_interaction(activity: "Activity", entity: VersionedEntity,
                 ready is None or ready()), ex)
         finally:
             monitor.due.remove(version)
-    queue._pos += 1  # advance(), without the call
+    queue._pos += 1  # consume the head that expect checked
     entity._log.fromlist([activity.id, expected_type, version])
     ex.progress += 1
     return version

@@ -1,15 +1,9 @@
-"""``tracing.Monitor``: its own wait and notify, over a Lock or an RLock
-held once.
-
-``Monitor`` reimplements ``Condition.wait`` and ``notify_all`` on
-``Condition``'s private ``_waiters``, which also tells a waker whether
-anyone is parked, and keeps ``Condition.notify``, so one test guards that
-the interpreter still provides ``_waiters``.
+"""``tracing.Monitor``: a wait set of its own over a Lock or an RLock held
+once, with ``wait``, ``notify_all`` and ``due`` as its whole surface.
 """
 
 import threading
 import time
-from collections import deque
 
 import pytest
 
@@ -17,11 +11,15 @@ from cmrr import Execution, ExecutionMode
 from cmrr.tracing import Monitor
 
 
-def test_condition_still_has_what_monitor_builds_on():
-    for lock in (threading.Lock(), threading.RLock()):
-        cond = threading.Condition(lock)
-        assert isinstance(getattr(cond, "_waiters", None), deque), (
-            "threading.Condition has no deque _waiters; tracing.Monitor needs it")
+def test_monitor_surface_is_its_contract():
+    lock = threading.Lock()
+    monitor = Monitor(lock)
+    assert {name for name in dir(monitor) if not name.startswith("_")} == {
+        "due", "notify_all", "wait"}
+    with pytest.raises(AttributeError):
+        monitor.stray = 1
+    assert lock.acquire(blocking=False), "building a Monitor took its lock"
+    lock.release()
 
 
 def _wait_until(predicate):
@@ -49,20 +47,10 @@ def _park_in_order(monitor, lock, count):
 
 
 @pytest.mark.parametrize("lock_type", [threading.RLock, threading.Lock])
-def test_notify_wakes_the_longest_waiting_and_notify_all_wakes_all(lock_type):
+def test_notify_all_wakes_all(lock_type):
     lock = lock_type()
     monitor = Monitor(lock)
     threads, woke = _park_in_order(monitor, lock, 4)
-    with lock:
-        monitor.notify(2)
-        assert len(monitor._waiters) == 2
-    _wait_until(lambda: len(woke) == 2)
-    assert sorted(woke) == [(0, True), (1, True)]
-    assert len(monitor._waiters) == 2
-    with lock:
-        monitor.notify()
-    _wait_until(lambda: len(woke) == 3)
-    assert woke[2] == (2, True)
     with lock:
         monitor.notify_all()
         assert not monitor._waiters

@@ -88,7 +88,7 @@ def test_record_interaction_consumes_matching_head_in_replay(tmp_path):
         entity = VersionedEntity()
         before = ex.progress
         record_interaction(act, EventType.LOCK, 3, entity=entity)
-        assert act.replay_queue.consumed == 1
+        assert len(act.replay_queue) == 0
         assert entity.log_entries() == [(0, EventType.LOCK, 3)]
         assert ex.progress == before + 1
 
@@ -203,13 +203,13 @@ def test_delay_interaction_waits_for_version_and_ready(tmp_path):
             with entity._lock:
                 increment_version(entity)
             time.sleep(0.05)
-            with entity._monitor:
+            with entity._lock:
                 timeline.append("ready")
                 state["ready"] = True
                 entity._monitor.notify_all()
 
         child = spawn_thread(helper)
-        with entity._monitor:
+        with entity._lock:
             version = delay_interaction(current_activity(), entity, EventType.LOCK,
                                         lambda: state["ready"])
             timeline.append("unblocked")
@@ -400,32 +400,27 @@ def test_replay_queue_cursor_and_expect():
     events = [TraceEvent(EventType.LOCK, v) for v in range(3)]
     queue = _queue(1, events)
     assert queue.peek() == events[0]
-    queue.advance()
-    assert queue.peek() == events[1]
-    assert queue.consumed == 1
+    assert queue.expect(EventType.LOCK) == 0  # checks the head, consumes nothing
+    assert queue.peek() == events[0]
+    assert len(queue) == 3
     assert list(queue) == events  # every pair, without consuming
-    assert queue.consumed == 1
-    queue.advance()
-    queue.advance()
-    assert queue.peek() is None
+    assert len(queue) == 3
+    empty = _queue(1, [])
+    assert empty.peek() is None
     with pytest.raises(ReplayQueueExhausted):
-        queue.expect(EventType.LOCK)
+        empty.expect(EventType.LOCK)
 
-    mixed = _queue(7, [TraceEvent(EventType.LOCK, 0), TraceEvent(EventType.MSG_SEND, 4),
-                       TraceEvent(EventType.TX_COMMIT, 2)])
+    mixed = [TraceEvent(EventType.LOCK, 0), TraceEvent(EventType.MSG_SEND, 4),
+             TraceEvent(EventType.TX_COMMIT, 2)]
     either = (EventType.MSG_SEND, EventType.LOCK)
-    assert mixed.expect(*either) == 0  # the head's data word
-    mixed.advance()
-    assert mixed.expect(*either) == 4
-    mixed.advance()
+    assert _queue(7, mixed).expect(*either) == 0  # the head's data word
+    assert _queue(7, mixed[1:]).expect(*either) == 4
     with pytest.raises(ReplayTypeMismatch, match=r"^activity 7: expected MSG_SEND or LOCK, "
                                                  r"trace holds TX_COMMIT\(data=2\)$"):
-        mixed.expect(*either)
-    assert mixed.consumed == 2
-    mixed.advance()
+        _queue(7, mixed[2:]).expect(*either)
     with pytest.raises(ReplayQueueExhausted, match=r"^activity 7: expected MSG_SEND or LOCK, "
                                                    r"trace is exhausted$"):
-        mixed.expect(*either)
+        _queue(7, []).expect(*either)
 
 
 def test_current_activity_outside_runtime():
